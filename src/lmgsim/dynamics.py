@@ -55,15 +55,22 @@ class HamiltonianSpec:
 
 
 def build_hamiltonian(spec: HamiltonianSpec, params: CollectiveSpinParams) -> np.ndarray:
+    """Dense H in the Dicke basis, assembled in place.
+
+    Sz^2 is diagonal, so chi m^2 goes straight onto the diagonal; no Sz.Sz
+    product is formed. For LMG with Omega >= 0 the bytes equal those of
+    chi (Sz @ Sz) + Omega Sx, which keeps the propagator cache keys stable.
+    """
     ops = build_spin_operators(params)
-    szsz = ops.sz @ ops.sz
-    if spec.kind == "OAT":
-        h = spec.chi * szsz
-    elif spec.kind == "LMG":
-        h = spec.chi * szsz + spec.omega * ops.sx
-    else:  # TAT
-        h = spec.chi * (szsz - ops.sy @ ops.sy)
-    return spec.time_sign * h
+    if spec.kind == "TAT":
+        h = ops.sy @ ops.sy
+        h *= -spec.chi
+    else:
+        h = spec.omega * ops.sx  # all zeros for OAT
+    idx = np.arange(params.dim)
+    h[idx, idx] += spec.chi * params.m_values() ** 2
+    h *= spec.time_sign
+    return h
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,13 @@ def _require_int(cfg, key, minimum):
     return int(v)
 
 
+def _require_alpha(cfg):
+    """In-plane probe angle in [0, pi), the range SatinConfig and SpinAxis accept."""
+    alpha = _require_number(cfg, "alpha", 0.0)
+    if alpha >= math.pi:
+        raise ConfigError(f"alpha must lie in [0, pi), got {alpha}")
+
+
 def _require_grid(cfg, key, minimum=0.0):
     v = cfg[key]
     if not isinstance(v, (list, tuple)) or len(v) == 0:
@@ -197,14 +204,15 @@ def _validate(cfg: dict) -> None:
         _require_grid(cfg, "s_chi_t_grid")
     elif task == "gain_vs_time":
         _require_number(cfg, "ratio")
-        _require_number(cfg, "alpha", 0.0)
+        _require_alpha(cfg)
         _require_grid(cfg, "s_chi_t_grid", minimum=0.0)
-        _require_number(cfg, "delta_phi_probe", 0.0, strict=True)
+        if _require_number(cfg, "delta_phi_probe", 0.0, strict=True) > 0.01:
+            raise ConfigError(f"delta_phi_probe must lie in (0, 0.01], got {cfg['delta_phi_probe']}")
         _require_number(cfg, "gamma", 0.0)
         _require_number(cfg, "detection_noise_var", 0.0)
     elif task == "tomographic_fotoc":
         _require_number(cfg, "ratio")
-        _require_number(cfg, "alpha", 0.0)
+        _require_alpha(cfg)
         _require_number(cfg, "s_chi_t", 0.0)
         dphis = cfg["delta_phis"]
         if not isinstance(dphis, (list, tuple)) or len(dphis) < 5 or not all(_is_number(x) for x in dphis):
@@ -221,7 +229,7 @@ def _validate(cfg: dict) -> None:
         _require_int(cfg, "wigner_n_phi", 1)
     elif task == "scrambling_panel":
         _require_number(cfg, "ratio")
-        _require_number(cfg, "alpha", 0.0)
+        _require_alpha(cfg)
         _require_grid(cfg, "s_chi_t_grid")
         win = cfg["fit_window"]
         if (not isinstance(win, (list, tuple)) or len(win) != 2

@@ -59,19 +59,22 @@ class SatinResult:
     readout_alpha: float
 
 
-def run_satin(state: State, config: SatinConfig, delta_phi: float) -> State:
-    """Forward evolution for t, rotation by delta_phi about S_alpha, backward
-    evolution under the sign-flipped Hamiltonian for t."""
-    params = state.params
-    h_fwd = build_hamiltonian(config.hamiltonian, params)
+def _satin_finals(state: State, config: SatinConfig, delta_phis) -> list[State]:
+    """Final states of the protocol for each probe angle; the forward leg runs once."""
+    h_fwd = build_hamiltonian(config.hamiltonian, state.params)
+    h_bwd = -h_fwd
     axis = SpinAxis.in_plane(config.alpha)
     if config.lindblad is None:
         mid = evolve_unitary(h_fwd, state, config.t)
-        mid = rotate(mid, axis, delta_phi)
-        return evolve_unitary(-h_fwd, mid, config.t)
+        return [evolve_unitary(h_bwd, rotate(mid, axis, dphi), config.t) for dphi in delta_phis]
     mid = evolve_lindblad(h_fwd, config.lindblad, state, config.t)
-    mid = rotate(mid, axis, delta_phi)
-    return evolve_lindblad(-h_fwd, config.lindblad, mid, config.t)
+    return [evolve_lindblad(h_bwd, config.lindblad, rotate(mid, axis, dphi), config.t) for dphi in delta_phis]
+
+
+def run_satin(state: State, config: SatinConfig, delta_phi: float) -> State:
+    """Forward evolution for t, rotation by delta_phi about S_alpha, backward
+    evolution under the sign-flipped Hamiltonian for t."""
+    return _satin_finals(state, config, (delta_phi,))[0]
 
 
 def _yz_means(state: State, ops) -> tuple[float, float]:
@@ -89,25 +92,22 @@ def _response_scan(dy: float, dz: float) -> tuple[float, float]:
 
 
 def _css_reference_response(params: CollectiveSpinParams, config: SatinConfig, beta: float) -> float:
-    """Central-difference response of the bare CSS at t = 0, same axes."""
-    ops = build_spin_operators(params)
-    axis = SpinAxis.in_plane(config.alpha)
-    ref = css(params, math.pi / 2, 0.0)
+    """Response of the bare +x CSS at t = 0 along the same axes, in closed form.
+
+    Rotating by d about n = (0, cos a, sin a) turns the mean spin S x into
+    S (cos d, sin d sin a, -sin d cos a), so the central difference of its
+    readout component is S (sin d / d) sin(a - beta).
+    """
     dphi = config.delta_phi_probe
-    plus = rotate(ref, axis, dphi)
-    minus = rotate(ref, axis, -dphi)
-    yp, zp = _yz_means(plus, ops)
-    ym, zm = _yz_means(minus, ops)
-    return (math.cos(beta) * (yp - ym) + math.sin(beta) * (zp - zm)) / (2.0 * dphi)
+    return params.spin * math.sin(dphi) / dphi * math.sin(config.alpha - beta)
 
 
-def _signal_and_axis(state: State, config: SatinConfig) -> tuple[float, float]:
-    """(G, readout angle): amplified response normalized by the CSS response."""
-    params = state.params
+def _signal_and_axis(plus: State, minus: State, config: SatinConfig) -> tuple[float, float]:
+    """(G, readout angle): amplified response of the +-probe final states
+    normalized by the CSS response."""
+    params = plus.params
     ops = build_spin_operators(params)
     dphi = config.delta_phi_probe
-    plus = run_satin(state, config, dphi)
-    minus = run_satin(state, config, -dphi)
     yp, zp = _yz_means(plus, ops)
     ym, zm = _yz_means(minus, ops)
     dy, dz = (yp - ym) / (2.0 * dphi), (zp - zm) / (2.0 * dphi)
@@ -125,31 +125,45 @@ def _signal_and_axis(state: State, config: SatinConfig) -> tuple[float, float]:
     return abs(response) / abs(ref), beta
 
 
-def signal_gain(state: State, config: SatinConfig) -> float:
-    """Signal amplification G relative to the bare CSS response."""
-    return _signal_and_axis(state, config)[0]
-
-
-def noise_n2(state: State, config: SatinConfig, readout_alpha: float | None = None) -> float:
-    """Readout variance after the zero-probe protocol, normalized to S/2."""
-    params = state.params
-    if readout_alpha is None:
-        readout_alpha = config.readout_alpha
-    if readout_alpha is None:
-        readout_alpha = _signal_and_axis(state, config)[1]
-    final = run_satin(state, config, 0.0)
-    ops = build_spin_operators(params)
-    a = spin_component(ops, SpinAxis.in_plane(readout_alpha))
-    mean = final.expectation(a).real
-    second = final.expectation(a @ a).real
+def _readout_noise(final: State, config: SatinConfig, readout_alpha: float) -> float:
+    """Readout variance of the zero-probe final state, normalized to S/2."""
+    params = final.params
+    a = spin_component(build_spin_operators(params), SpinAxis.in_plane(readout_alpha))
+    if isinstance(final, PureState):
+        a_psi = a @ final.amplitudes
+        mean = complex(final.amplitudes.conj() @ a_psi).real
+        second = float(np.vdot(a_psi, a_psi).real)  # <A^2> = ||A psi||^2
+    else:
+        mean = final.expectation(a).real
+        second = final.expectation(a @ a).real
     var = float(second - mean**2)
     return var / (params.spin / 2.0) + config.detection_noise_var
 
 
+def signal_gain(state: State, config: SatinConfig) -> float:
+    """Signal amplification G relative to the bare CSS response."""
+    dphi = config.delta_phi_probe
+    return _signal_and_axis(*_satin_finals(state, config, (dphi, -dphi)), config)[0]
+
+
+def noise_n2(state: State, config: SatinConfig, readout_alpha: float | None = None) -> float:
+    """Readout variance after the zero-probe protocol, normalized to S/2."""
+    if readout_alpha is None:
+        readout_alpha = config.readout_alpha
+    if readout_alpha is None:
+        return metrological_gain(state, config).n_sq
+    return _readout_noise(run_satin(state, config, 0.0), config, readout_alpha)
+
+
 def metrological_gain(state: State, config: SatinConfig) -> SatinResult:
-    """Run the full protocol once and report G^2, N^2, and the dB gain."""
-    g, beta = _signal_and_axis(state, config)
-    n2 = noise_n2(state, config, readout_alpha=beta)
+    """Run the full protocol once and report G^2, N^2, and the dB gain.
+
+    The +dphi, -dphi and zero-probe runs share one forward leg.
+    """
+    dphi = config.delta_phi_probe
+    plus, minus, zero = _satin_finals(state, config, (dphi, -dphi, 0.0))
+    g, beta = _signal_and_axis(plus, minus, config)
+    n2 = _readout_noise(zero, config, beta)
     spec = config.hamiltonian
     s_chi_t = abs(spec.chi) * state.params.spin * config.t
     return SatinResult(

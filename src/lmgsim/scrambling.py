@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DensityMatrix, PureState, SpinAxis, State, as_density, build_spin_operators, spin_component
+from .dicke import PureState, SpinAxis, State, _axis_eigensystem, as_density, build_spin_operators, spin_component
 from .dynamics import propagator_for
 
 DEFAULT_DELTA_PHI_GRID = (-0.01, -0.005, -0.002, 0.0, 0.002, 0.005, 0.01)
@@ -29,15 +29,6 @@ class FotocSample:
     fidelity: float
 
 
-def _echo_fidelity(state: State, u_echo: np.ndarray) -> float:
-    # Tr(U rho U^dag rho); collapses to |<psi|U|psi>|^2 on pure states
-    if isinstance(state, PureState):
-        amp = state.amplitudes.conj() @ (u_echo @ state.amplitudes)
-        return float(np.abs(amp) ** 2)
-    rho = state.matrix
-    return float(np.real(np.trace(u_echo @ rho @ u_echo.conj().T @ rho)))
-
-
 def fotoc(
     hamiltonian: np.ndarray,
     state: State,
@@ -45,18 +36,29 @@ def fotoc(
     t: float,
     delta_phis=DEFAULT_DELTA_PHI_GRID,
 ) -> list[FotocSample]:
-    """Return fidelity F(dphi) = Tr(U rho U^dag rho) for each probe rotation."""
-    params = state.params
+    """Return fidelity F(dphi) = Tr(U rho U^dag rho) for each probe rotation.
+
+    For a pure state the echo collapses to
+    F = |sum_k |<k_a|psi_t>|^2 e^{-i w_k dphi}|^2 over the eigenpairs
+    (w_k, |k_a>) of S_a, so psi is evolved once and no unitary is formed.
+    Density matrices take the dense echo.
+    """
     prop = propagator_for(hamiltonian)
+    w, v = _axis_eigensystem(state.params, axis)
+    if isinstance(state, PureState):
+        weights = np.abs(v.conj().T @ prop.evolve(state, t).amplitudes) ** 2
+        return [
+            FotocSample(delta_phi=float(dphi), fidelity=float(np.abs(weights @ np.exp(-1j * w * dphi)) ** 2))
+            for dphi in delta_phis
+        ]
     u_fwd = prop.unitary(t)
     u_bwd = u_fwd.conj().T
-    gen = spin_component(build_spin_operators(params), axis)
-    w, v = np.linalg.eigh(gen)
+    rho = state.matrix
     samples = []
     for dphi in delta_phis:
-        u_rot = (v * np.exp(-1j * w * dphi)) @ v.conj().T
-        u_echo = u_bwd @ u_rot @ u_fwd
-        samples.append(FotocSample(delta_phi=float(dphi), fidelity=_echo_fidelity(state, u_echo)))
+        u_echo = u_bwd @ ((v * np.exp(-1j * w * dphi)) @ v.conj().T) @ u_fwd
+        fid = float(np.real(np.trace(u_echo @ rho @ u_echo.conj().T @ rho)))
+        samples.append(FotocSample(delta_phi=float(dphi), fidelity=fid))
     return samples
 
 

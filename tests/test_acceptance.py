@@ -237,6 +237,7 @@ def test_criterion_9_tat_correspondence(acceptance):
     assert ok, worst
 
 
+@pytest.mark.slow
 def test_criterion_10_tomography_fidelity(acceptance):
     params = CollectiveSpinParams(N_BIG)
     h = build_hamiltonian(_critical_spec(params), params)
@@ -253,6 +254,7 @@ def test_criterion_10_tomography_fidelity(acceptance):
     assert ok, (fid, monotone)
 
 
+@pytest.mark.slow
 def test_criterion_11_bootstrap_sanity(acceptance):
     from lmgsim import MeasurementRecord
 

@@ -248,6 +248,24 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert (out / "antisqueezing_vs_drive.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"experiment": "fig3", "alpha": 3.5},
+        {"experiment": "fig4", "alpha": 3.5},
+        {"experiment": "fig5", "alpha": math.pi},
+        {"experiment": "fig3", "delta_phi_probe": 0.02},
+    ],
+)
+def test_cli_rejects_probe_out_of_range_before_writing(tmp_path, capsys, raw):
+    cfg_path = _write_config(tmp_path, raw)
+    out = tmp_path / "results"
+    assert main(["validate", cfg_path]) == 2
+    assert main(["run", cfg_path, "--out", str(out)]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_fit_round_trip(tmp_path, capsys):
     csv = tmp_path / "series.csv"
     t = np.linspace(0.0, 1.0, 9)

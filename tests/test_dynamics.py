@@ -1,5 +1,6 @@
 """Hamiltonians, stability classification, unitary and Lindblad propagation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +35,17 @@ def test_hamiltonian_kinds():
         build_hamiltonian(HamiltonianSpec(chi=0.7, kind="TAT"), p),
         0.7 * (szsz - ops.sy @ ops.sy),
     )
+
+
+@pytest.mark.parametrize("n", [1, 6, 200])
+def test_lmg_hamiltonian_bytes_match_dense_product(n):
+    # the in-place assembly must reproduce chi (Sz @ Sz) + Omega Sx bit for bit
+    p = CollectiveSpinParams(n)
+    ops = build_spin_operators(p)
+    for chi, ratio, time_sign in itertools.product((1.0, 0.3), (0.0, 0.5, 1.0, 3.0), (1, -1)):
+        spec = HamiltonianSpec(chi=chi, omega=ratio * chi * p.spin, time_sign=time_sign)
+        dense = time_sign * (chi * (ops.sz @ ops.sz) + spec.omega * ops.sx)
+        assert build_hamiltonian(spec, p).tobytes() == dense.tobytes(), (chi, ratio, time_sign)
 
 
 def test_time_sign_flips_hamiltonian():

@@ -1,5 +1,6 @@
 """Time-reversal amplification protocol: echo, gain, noise, sweeps."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -12,13 +13,18 @@ from lmgsim import (
     HamiltonianSpec,
     LindbladSpec,
     SatinConfig,
+    SpinAxis,
+    build_spin_operators,
     css,
     gain_vs_time_sweep,
     metrological_gain,
     noise_n2,
+    rotate,
     run_satin,
     signal_gain,
+    spin_component,
 )
+from lmgsim.satin import _css_reference_response
 
 N = 40
 
@@ -73,6 +79,51 @@ def test_metrological_gain_consistency():
     assert abs(res.gain_db - 10.0 * math.log10(res.g_sq / res.n_sq)) < 1e-12
     assert 0.0 <= res.readout_alpha < math.pi
     assert abs(res.s_chi_t - 0.7) < 1e-12
+
+
+@pytest.mark.parametrize("n, gamma", [(N, 0.0), (10, 0.3)])
+def test_metrological_gain_matches_separate_runs(n, gamma):
+    # the shared forward leg must give exactly what separate protocol runs give
+    p = CollectiveSpinParams(n)
+    lindblad = LindbladSpec(gamma=gamma) if gamma else None
+    cfg = SatinConfig(hamiltonian=HamiltonianSpec(chi=1.0, omega=p.spin), t=0.6 / p.spin, lindblad=lindblad)
+    state = css(p, math.pi / 2, 0.0)
+    res = metrological_gain(state, cfg)
+    g = signal_gain(state, cfg)
+    assert res.g_sq == g * g
+    assert res.n_sq == noise_n2(state, cfg, readout_alpha=res.readout_alpha)
+    assert res.n_sq == noise_n2(state, cfg)
+
+    # independent readout of the three run_satin final states along the chosen axis
+    dphi = cfg.delta_phi_probe
+    a = spin_component(build_spin_operators(p), SpinAxis.in_plane(res.readout_alpha))
+    plus, minus, zero = (run_satin(state, cfg, x) for x in (dphi, -dphi, 0.0))
+    response = (plus.expectation(a) - minus.expectation(a)).real / (2.0 * dphi)
+    reference = p.spin * math.sin(dphi) / dphi * math.sin(cfg.alpha - res.readout_alpha)
+    assert abs(res.g_sq - (response / reference) ** 2) < 1e-10 * res.g_sq
+    var = zero.expectation(a @ a).real - zero.expectation(a).real ** 2
+    assert abs(res.n_sq - var / (p.spin / 2.0)) < 1e-10
+
+
+def test_css_reference_closed_form_matches_central_difference():
+    p = CollectiveSpinParams(200)
+    ops = build_spin_operators(p)
+    ref = css(p, math.pi / 2, 0.0)
+    for alpha, beta in itertools.product((0.0, 0.3, math.pi / 4, 2.0), (0.1, math.pi / 2, 2.9)):
+        cfg = SatinConfig(hamiltonian=HamiltonianSpec(chi=1.0), t=0.0, alpha=alpha)
+        axis = SpinAxis.in_plane(alpha)
+        readout = spin_component(ops, SpinAxis.in_plane(beta))
+        dphi = cfg.delta_phi_probe
+        plus, minus = rotate(ref, axis, dphi), rotate(ref, axis, -dphi)
+        want = (plus.expectation(readout) - minus.expectation(readout)).real / (2.0 * dphi)
+        got = _css_reference_response(p, cfg, beta)
+        assert abs(got - want) <= 1e-12 * abs(want), (alpha, beta, got, want)
+
+
+def test_degenerate_readout_axis_is_rejected():
+    p, cfg = _config(0.6, alpha=0.7, readout_alpha=0.7)
+    with pytest.raises(ValueError, match="degenerate readout axis"):
+        metrological_gain(css(p, math.pi / 2, 0.0), cfg)
 
 
 def test_detection_noise_adds_to_n2():

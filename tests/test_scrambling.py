@@ -52,6 +52,20 @@ def test_fotoc_matches_expm_oracle_pure():
         assert abs(s.fidelity - want) < 1e-10
 
 
+@pytest.mark.parametrize("s_chi_t", [0.3, 0.8])
+def test_pure_fotoc_matches_density_echo_at_n200(s_chi_t):
+    p = CollectiveSpinParams(200)
+    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
+    axis = SpinAxis.in_plane(math.pi / 4)
+    state = css(p, math.pi / 2, 0.0)
+    t = s_chi_t / p.spin
+    pure = fotoc(h, state, axis, t)
+    dense = fotoc(h, state.to_density(), axis, t)
+    assert [s.delta_phi for s in pure] == [s.delta_phi for s in dense]
+    assert max(abs(a.fidelity - b.fidelity) for a, b in zip(pure, dense)) < 1e-12
+    assert min(s.fidelity for s in pure) < 0.999  # the probe visibly reduces the echo
+
+
 def test_fotoc_mixed_state_matches_trace_oracle():
     n, t = 6, 0.25
     p = CollectiveSpinParams(n)

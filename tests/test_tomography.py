@@ -242,6 +242,7 @@ def test_bootstrap_zero_variance_records():
     assert np.all(boot.resampled == boot.resampled[0])
 
 
+@pytest.mark.slow
 def test_bootstrap_interval_shrinks_with_shots():
     p = CollectiveSpinParams(6)
     spec = HamiltonianSpec(chi=1.0, omega=p.spin)
