@@ -6,9 +6,9 @@ N + 1, basis ordered |S, S>, |S, S-1>, ..., |S, -S>.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +51,9 @@ class SpinOperators:
     s2: np.ndarray
 
 
-_operator_cache: dict[int, SpinOperators] = {}
-_cache_lock = threading.Lock()
-
-
+@functools.lru_cache(maxsize=None)
 def build_spin_operators(params: CollectiveSpinParams) -> SpinOperators:
     """Construct (and cache per N) the dense collective spin operators."""
-    ops = _operator_cache.get(params.n_atoms)
-    if ops is not None:
-        return ops
     S = params.spin
     m = params.m_values()
     # <m+1|S+|m> = sqrt(S(S+1) - m(m+1)); raising moves one row up in this ordering
@@ -71,10 +65,7 @@ def build_spin_operators(params: CollectiveSpinParams) -> SpinOperators:
     sy = -0.5j * (splus - sminus)
     sz = np.diag(m) + 0j
     s2 = np.full(params.dim, S * (S + 1))
-    ops = SpinOperators(params, sx, sy, sz, np.diag(s2) + 0j)
-    with _cache_lock:
-        _operator_cache.setdefault(params.n_atoms, ops)
-    return _operator_cache[params.n_atoms]
+    return SpinOperators(params, sx, sy, sz, np.diag(s2) + 0j)
 
 
 @dataclass(frozen=True)
@@ -113,13 +104,15 @@ class PureState:
 
     __slots__ = ("amplitudes",)
 
-    def __init__(self, amplitudes, norm_tol: float = tolerances.STATE_NORM_TOL):
+    def __init__(self, amplitudes):
         amp = np.asarray(amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size < 2:
             raise ValueError(f"amplitude vector must be 1-d with dim >= 2, got shape {amp.shape}")
         nrm = np.linalg.norm(amp)
-        if abs(nrm - 1.0) > norm_tol:
-            raise ValueError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e} (tol {norm_tol:.1e})")
+        if abs(nrm - 1.0) > tolerances.STATE_NORM_TOL:
+            raise ValueError(
+                f"state norm deviates from 1 by {abs(nrm - 1.0):.3e} (tol {tolerances.STATE_NORM_TOL:.1e})"
+            )
         self.amplitudes = amp
 
     @property
@@ -141,27 +134,19 @@ class DensityMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(
-        self,
-        matrix,
-        trace_tol: float = tolerances.TRACE_TOL,
-        herm_tol: float = tolerances.HERMITICITY_TOL,
-        psd_tol: float = tolerances.PSD_TOL,
-        validate: bool = True,
-    ):
+    def __init__(self, matrix, psd_tol: float = tolerances.PSD_TOL):
         rho = np.asarray(matrix, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
             raise ValueError(f"density matrix must be square with dim >= 2, got shape {rho.shape}")
-        if validate:
-            herm = np.max(np.abs(rho - rho.conj().T))
-            if herm > herm_tol:
-                raise ValueError(f"density matrix not Hermitian: max deviation {herm:.3e}")
-            tr = np.trace(rho).real
-            if abs(tr - 1.0) > trace_tol:
-                raise ValueError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
-            lo = float(np.linalg.eigvalsh(rho)[0])
-            if lo < -psd_tol:
-                raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {lo:.3e}")
+        herm = np.max(np.abs(rho - rho.conj().T))
+        if herm > tolerances.HERMITICITY_TOL:
+            raise ValueError(f"density matrix not Hermitian: max deviation {herm:.3e}")
+        tr = np.trace(rho).real
+        if abs(tr - 1.0) > tolerances.TRACE_TOL:
+            raise ValueError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
+        lo = float(np.linalg.eigvalsh(rho)[0])
+        if lo < -psd_tol:
+            raise ValueError(f"density matrix not positive semidefinite: min eigenvalue {lo:.3e}")
         self.matrix = rho
 
     @property
@@ -209,23 +194,10 @@ def css(params: CollectiveSpinParams, theta: float, phi: float = 0.0) -> PureSta
     return PureState(amp)
 
 
-_axis_eig_cache: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
-_AXIS_CACHE_MAX = 128
-
-
+@functools.lru_cache(maxsize=128)
 def _axis_eigensystem(params: CollectiveSpinParams, axis: SpinAxis):
     """Eigendecomposition of n . S, cached per (N, axis)."""
-    key = (params.n_atoms, float(axis.theta), float(axis.phi))
-    hit = _axis_eig_cache.get(key)
-    if hit is not None:
-        return hit
-    ops = build_spin_operators(params)
-    w, v = np.linalg.eigh(spin_component(ops, axis))
-    with _cache_lock:
-        if len(_axis_eig_cache) >= _AXIS_CACHE_MAX:
-            _axis_eig_cache.pop(next(iter(_axis_eig_cache)))
-        _axis_eig_cache.setdefault(key, (w, v))
-    return _axis_eig_cache[key]
+    return np.linalg.eigh(spin_component(build_spin_operators(params), axis))
 
 
 def rotation_matrix(params: CollectiveSpinParams, axis: SpinAxis, angle: float) -> np.ndarray:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import assoc_legendre_p_all
+from scipy.special import sph_legendre_p_all
 
 from . import tolerances
 from .dicke import (
@@ -82,48 +82,22 @@ class Antisqueezing:
     alpha_max: float
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float):
-    """Golden-section search for the maximum of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def antisqueezing(state: State, n_grid: int = 64, tol: float = 1e-6) -> Antisqueezing:
+def antisqueezing(state: State) -> Antisqueezing:
     """Maximal transverse variance ratio max_a var(S_a) / (S/2), a in [0, pi).
 
     S_a = Sy cos a + Sz sin a spans the plane orthogonal to the +x mean-spin
-    direction. Coarse grid then golden-section refinement of the bracketing
-    interval down to tol radians.
+    direction; the maximum is the top eigenvalue of the 2x2 (Sy, Sz)
+    covariance and alpha_max the angle of its eigenvector. alpha_max is 0
+    where the two eigenvalues coincide, as for a coherent state.
     """
     params = state.params
     vy, vz, cov = _yz_quadratic_form(state, build_spin_operators(params))
-
-    def var(alpha: float) -> float:
-        c, s = math.cos(alpha), math.sin(alpha)
-        return vy * c * c + vz * s * s + 2.0 * cov * s * c
-
-    alphas = np.arange(n_grid) * math.pi / n_grid
-    values = [var(a) for a in alphas]
-    i = int(np.argmax(values))
-    # refine inside the neighboring-grid-point bracket; var has period pi
-    lo, hi = alphas[i] - math.pi / n_grid, alphas[i] + math.pi / n_grid
-    alpha_max, vmax = _golden_section_max(var, lo, hi, tol)
-    alpha_max = alpha_max % math.pi
-    return Antisqueezing(xi_plus_sq=vmax / (params.spin / 2.0), alpha_max=alpha_max)
+    half_diff = 0.5 * (vy - vz)
+    top = 0.5 * (vy + vz) + math.hypot(half_diff, cov)
+    alpha_max = 0.5 * math.atan2(cov, half_diff) % math.pi
+    if alpha_max == math.pi:  # a negative angle within rounding of 0; the axis has period pi
+        alpha_max = 0.0
+    return Antisqueezing(xi_plus_sq=top / (params.spin / 2.0), alpha_max=alpha_max)
 
 
 def binder_from_central_moments(mu2: float, mu4: float) -> float:
@@ -157,7 +131,7 @@ class QfiResult:
         return float(np.linalg.eigvalsh(self.gamma_q)[-1])
 
 
-def qfi(state: State, axis: SpinAxis, eig_cutoff: float = tolerances.EIG_CUTOFF) -> QfiResult:
+def qfi(state: State, axis: SpinAxis) -> QfiResult:
     """Spectral QFI: F_Q = 2 sum_{q_k + q_k' > cutoff} (q_k - q_k')^2 / (q_k + q_k')
     |<k'|n.S|k>|^2, assembled together with the full 3x3 matrix over x, y, z."""
     rho = as_density(state)
@@ -167,7 +141,7 @@ def qfi(state: State, axis: SpinAxis, eig_cutoff: float = tolerances.EIG_CUTOFF)
     ssum = q[:, None] + q[None, :]
     diff = q[:, None] - q[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        weight = np.where(ssum > eig_cutoff, 2.0 * diff**2 / ssum, 0.0)
+        weight = np.where(ssum > tolerances.EIG_CUTOFF, 2.0 * diff**2 / ssum, 0.0)
     comps = [v.conj().T @ s @ v for s in (ops.sx, ops.sy, ops.sz)]
     gamma = np.empty((3, 3))
     for i in range(3):
@@ -180,56 +154,40 @@ def qfi(state: State, axis: SpinAxis, eig_cutoff: float = tolerances.EIG_CUTOFF)
 def multipole_components(state: State) -> np.ndarray:
     """Spherical-tensor components r[k, q + K], K = N, k = 0..N, |q| <= k.
 
-    The tensor operators T_kq are built by lowering from T_kk proportional to
-    (-1)^k (S+)^k, unit Hilbert-Schmidt norm; they satisfy T_k,-q =
-    (-1)^q T_kq^dagger, so for the Hermitian input r[k, -q] = (-1)^q conj(r[k, q]).
+    r_kq = Tr(T_kq^dagger rho) over the unit Hilbert-Schmidt-norm tensor
+    operators, with T_kk proportional to (-1)^k (S+)^k and T_k,q-1 a positive
+    multiple of [S-, T_kq]. T_kq lives on the q-th diagonal, where the
+    Casimir superoperator sum_i [S_i, [S_i, .]] is a real symmetric
+    tridiagonal matrix with eigenvalues k(k+1), k = q..K; its eigenvectors
+    are the T_kq bands up to sign. They satisfy T_k,-q = (-1)^q T_kq^dagger,
+    so for the Hermitian input r[k, -q] = (-1)^q conj(r[k, q]).
     """
     rho = as_density(state).matrix
     d = rho.shape[0]
     S = (d - 1) / 2.0
     K = d - 1
     m = S - np.arange(d)
-
-    # ladder amplitudes, clipped where the index leaves the spin range
-    def g_minus(marr):  # <m-1|S-|m>
-        return np.sqrt(np.clip(S * (S + 1) - marr * (marr - 1), 0.0, None))
-
-    lf = np.zeros(d)  # log <m_j + 1|S+|m_j> for j >= 1
-    lf[1:] = 0.5 * np.log(S * (S + 1) - m[1:] * (m[1:] + 1))
-    cum = np.concatenate(([0.0], np.cumsum(lf[1:])))  # cum[j] = sum_{i<=j} lf[i]
+    a = np.zeros(d + 1)  # a[j] = <m_j + 1|S+|m_j>, zero at j = 0 and j = d
+    a[1:d] = np.sqrt(S * (S + 1) - m[1:] * (m[1:] + 1))
 
     out = np.zeros((K + 1, 2 * K + 1), dtype=complex)
-    cols = np.arange(d)
-    diag_cache = {qq: np.diagonal(rho, offset=qq) for qq in range(-K, K + 1)}
-
-    for k in range(K + 1):
-        # T_kk band over columns j = k..d-1, normalized, sign (-1)^k
-        band = np.zeros(d)
-        if k == 0:
-            band[:] = 1.0
-        else:
-            logb = cum[cols[k:]] - cum[cols[k:] - k]
-            logb -= logb.max()
-            band[k:] = np.exp(logb)
-        band = band / np.linalg.norm(band) * (-1.0) ** k
-
-        q = k
-        while True:
-            # r_kq = sum_j band[j] * rho[j - q, j]
-            if q >= 0:
-                out[k, q + K] = np.sum(band[q:] * diag_cache[q])
-            else:
-                out[k, q + K] = np.sum(band[: d + q] * diag_cache[q])
-            if q <= 0:
-                break
-            # lower: T_{k,q-1} = [S-, T_kq] / sqrt(k(k+1) - q(q-1))
-            denom = math.sqrt(k * (k + 1.0) - q * (q - 1.0))
-            ga = g_minus(S - cols + q)
-            gb = g_minus(S - cols)
-            shifted = np.zeros(d)
-            shifted[:-1] = band[1:]
-            band = (ga * band - gb * shifted) / denom
-            q -= 1
+    above = None  # bands of q + 1, columns k = q + 1..K
+    for q in range(K, -1, -1):
+        # band entry i is T_kq[i, i + q] = <m_i|T_kq|m_i - q>, i = 0..d-q-1
+        n = d - q
+        i = np.arange(n)
+        off = -a[1:n] * a[q + 1 : d]
+        diag = q * q + 2.0 * S * (S + 1) - (S - i) ** 2 - (S - i - q) ** 2
+        casimir = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        _, bands = np.linalg.eigh(casimir)  # ascending k(k+1): columns k = q..K
+        bands[:, 0] *= (-1.0) ** q * np.sign(bands[:, 0].sum())
+        if above is not None:
+            lowered = np.zeros((n, K - q))  # [S-, T_k,q+1] on the q-th diagonal
+            lowered[1:] += a[1:n, None] * above
+            lowered[:-1] -= a[q + 1 : d, None] * above
+            bands[:, 1:] *= np.sign(np.einsum("ij,ij->j", bands[:, 1:], lowered))
+        out[q:, q + K] = bands.T @ np.diagonal(rho, offset=q)
+        above = bands
 
     # negative q by the hermiticity symmetry of the tensor basis
     for k in range(K + 1):
@@ -238,16 +196,15 @@ def multipole_components(state: State) -> np.ndarray:
     return out
 
 
-def _theta_profiles(rkq: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """C[q, i] = sum_k r_kq Ybar_kq(theta_i), q >= 0, where Y = Ybar e^{iq phi}."""
+def _weighted_profiles(state: State, thetas: np.ndarray) -> np.ndarray:
+    """w_q C[q, i], where C[q, i] = sum_k r_kq Ybar_kq(theta_i), Y = Ybar e^{iq phi},
+    and w_q = 1 at q = 0, 2 otherwise: W = Re sum_q w_q C[q] e^{iq phi}."""
+    rkq = multipole_components(state)
     K = rkq.shape[0] - 1
-    x = np.cos(np.asarray(thetas, dtype=float))
-    # orthonormal-on-[-1,1] associated Legendre, all degrees/orders at once
-    p = assoc_legendre_p_all(K, K, x, norm=True)[0]  # (K+1, 2K+1, n_theta)
-    c = np.zeros((K + 1, x.size), dtype=complex)
+    ybar = sph_legendre_p_all(K, K, thetas)[0]  # (K+1, 2K+1, n_theta), real
+    c = np.empty((K + 1, thetas.size), dtype=complex)
     for q in range(K + 1):
-        ks = np.arange(q, K + 1)
-        c[q] = (rkq[ks, q + K] @ p[ks, q]) / math.sqrt(2.0 * math.pi)
+        c[q] = (1.0 if q == 0 else 2.0) * (rkq[q:, q + K] @ ybar[q:, q])
     return c
 
 
@@ -257,15 +214,11 @@ def wigner(state: State, thetas, phis) -> np.ndarray:
     W = sum_kq r_kq Y_kq; real by construction for Hermitian input. A faithful
     (alias-free) rendering needs at least 2S+1 samples per direction.
     """
-    rkq = multipole_components(state)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    c = _theta_profiles(rkq, thetas)
-    K = rkq.shape[0] - 1
-    qs = np.arange(K + 1)
-    phase = np.exp(1j * np.outer(qs, phis))  # (K+1, n_phi)
-    weights = np.where(qs == 0, 1.0, 2.0)[:, None]
-    return np.real(c.T @ (weights * phase))
+    c = _weighted_profiles(state, thetas)
+    phase = np.exp(1j * np.outer(np.arange(c.shape[0]), phis))  # (K+1, n_phi)
+    return np.real(c.T @ phase)
 
 
 def wigner_points(state: State, thetas, phis) -> np.ndarray:
@@ -274,10 +227,6 @@ def wigner_points(state: State, thetas, phis) -> np.ndarray:
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     if thetas.shape != phis.shape:
         raise ValueError("thetas and phis must have matching shapes")
-    rkq = multipole_components(state)
-    c = _theta_profiles(rkq, thetas)  # (K+1, n_points)
-    K = rkq.shape[0] - 1
-    qs = np.arange(K + 1)
-    phase = np.exp(1j * qs[:, None] * phis[None, :])
-    weights = np.where(qs == 0, 1.0, 2.0)[:, None]
-    return np.real(np.sum(c * weights * phase, axis=0))
+    c = _weighted_profiles(state, thetas)  # (K+1, n_points)
+    phase = np.exp(1j * np.outer(np.arange(c.shape[0]), phis))
+    return np.real(np.sum(c * phase, axis=0))

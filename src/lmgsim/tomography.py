@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tolerances
 from .dicke import (
     AXIS_Y,
     AXIS_Z,
@@ -75,13 +76,15 @@ def _measurement_basis(params: CollectiveSpinParams, axis: SpinAxis) -> np.ndarr
     return r_z @ r_y
 
 
-def born_probabilities(state: State, axis: SpinAxis, neg_tol: float = 1e-10) -> np.ndarray:
+def born_probabilities(state: State, axis: SpinAxis) -> np.ndarray:
     """p(m) = <m_n| rho |m_n> along the measured direction."""
     rho = as_density(state).matrix
     basis = _measurement_basis(CollectiveSpinParams(rho.shape[0] - 1), axis)
     p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho, basis))
-    if np.min(p) < -neg_tol:
-        raise ValueError(f"Born probability {np.min(p):.3e} below -{neg_tol:.1e}; state is not physical")
+    if np.min(p) < -tolerances.BORN_NEG_TOL:
+        raise ValueError(
+            f"Born probability {np.min(p):.3e} below -{tolerances.BORN_NEG_TOL:.1e}; state is not physical"
+        )
     p = np.clip(p, 0.0, None)
     return p / np.sum(p)
 

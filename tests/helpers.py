@@ -67,3 +67,27 @@ def random_density(n_atoms: int, rng: np.random.Generator, rank: int = 3) -> Den
     a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     rho = a @ a.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
+
+
+def dense_multipoles(state) -> np.ndarray:
+    """r[k, q + K] = Tr(T_kq^dag rho) over dense tensor operators, for small N.
+
+    T_kk is (-1)^k (S+)^k and T_k,q-1 the matrix commutator [S-, T_kq], each
+    scaled to unit Hilbert-Schmidt norm; every q, negative ones included, is
+    projected directly rather than through a symmetry.
+    """
+    rho = as_density(state).matrix
+    d = rho.shape[0]
+    big_k = d - 1
+    s = big_k / 2.0
+    m = s - np.arange(d)
+    splus = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), k=1)
+    sminus = splus.T
+    out = np.zeros((d, 2 * d - 1), dtype=complex)
+    for k in range(d):
+        t = (-1.0) ** k * np.linalg.matrix_power(splus, k)
+        for q in range(k, -k - 1, -1):
+            t = t / np.linalg.norm(t)
+            out[k, q + big_k] = np.trace(t.conj().T @ rho)
+            t = sminus @ t - t @ sminus
+    return out

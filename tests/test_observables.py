@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.special import gammaln
 
 from lmgsim import (
     AXIS_X,
@@ -30,7 +31,9 @@ from lmgsim import (
     wigner,
     wigner_points,
 )
+from lmgsim import observables
 from helpers import (
+    dense_multipoles,
     dephased_oat_density,
     oat_closed_form_moments,
     oat_max_transverse_variance,
@@ -79,10 +82,30 @@ def test_antisqueezing_matches_covariance_eigenvalue(t):
     expected = oat_max_transverse_variance(N_OAT, CHI, t) / (N_OAT / 4.0)
     assert abs(a.xi_plus_sq - expected) < 1e-8
     assert 0.0 <= a.alpha_max < math.pi
+    # the top eigenvector of the dense 2x2 (Sy, Sz) covariance points along alpha_max
+    rho = as_density(state).matrix
+    ops = build_spin_operators(state.params)
+    mean = [np.trace(rho @ s).real for s in (ops.sy, ops.sz)]
+    cov = np.array([
+        [np.trace(rho @ (si @ sj + sj @ si)).real / 2.0 - mi * mj for sj, mj in zip((ops.sy, ops.sz), mean)]
+        for si, mi in zip((ops.sy, ops.sz), mean)
+    ])
+    v = np.linalg.eigh(cov)[1][:, 1]
+    angle = math.atan2(v[1], v[0])
+    assert abs((a.alpha_max - angle + math.pi / 2) % math.pi - math.pi / 2) < 1e-12
     # the returned angle is a genuine maximum of the variance
     v_at = spin_moments(state, SpinAxis.in_plane(a.alpha_max)).var
     for eps in (-0.02, 0.02):
         assert v_at >= spin_moments(state, SpinAxis.in_plane(a.alpha_max + eps)).var - 1e-12
+
+
+def test_antisqueezing_axis_folds_into_half_open_range(monkeypatch):
+    # a covariance within rounding of 0 below the y axis gives an angle of
+    # -1e-20 rad, which % pi rounds up to pi; the axis is the same as 0
+    monkeypatch.setattr(observables, "_yz_quadratic_form", lambda state, ops: (2.0, 1.0, -1e-20))
+    a = antisqueezing(css(CollectiveSpinParams(4), math.pi / 2, 0.0))
+    assert a.alpha_max == 0.0
+    assert a.xi_plus_sq == 2.0  # top eigenvalue 2 over S/2 = 1
 
 
 def test_binder_two_point_distribution():
@@ -197,6 +220,40 @@ def test_multipoles_top_css_is_axial():
     assert all(abs(r[k, K]) > 1e-6 for k in range(K + 1))
 
 
+@pytest.mark.parametrize("n", [1, 4, 7, 12])
+def test_multipoles_match_dense_commutator_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for state in (random_pure_state(n, rng), random_density(n, rng), css(CollectiveSpinParams(n), 0.7, 2.0)):
+        assert np.max(np.abs(multipole_components(state) - dense_multipoles(state))) < 1e-12
+
+
+def _top_css_abs_rk0(n: int) -> np.ndarray:
+    """|r_k0| of the top coherent state: (2S)! sqrt(2k+1) / sqrt((2S-k)! (2S+k+1)!)."""
+    k = np.arange(n + 1)
+    return np.exp(gammaln(n + 1) + 0.5 * np.log(2 * k + 1) - 0.5 * (gammaln(n - k + 1) + gammaln(n + k + 2)))
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_multipoles_stay_exact_at_large_n(n):
+    state = random_pure_state(n, np.random.default_rng(n))
+    r = multipole_components(state)
+    assert abs(np.sum(np.abs(r) ** 2) - 1.0) < 1e-12
+    r_top = multipole_components(css(CollectiveSpinParams(n), 0.0, 0.0))
+    assert np.max(np.abs(np.abs(r_top[:, n]) - _top_css_abs_rk0(n))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [14, 200])
+@pytest.mark.parametrize("theta0,phi0", [(0.0, 0.0), (math.pi, 0.0), (1.1, 2.3)])
+def test_wigner_at_css_direction_matches_closed_form(n, theta0, phi0):
+    # rotation invariance: W at a CSS's own direction is the top CSS's W at
+    # the north pole, sum_k r_k0 Y_k0(0), and every r_k0 there is positive
+    k = np.arange(n + 1)
+    want = float(np.sum(_top_css_abs_rk0(n) * np.sqrt((2 * k + 1) / (4.0 * math.pi))))
+    state = css(CollectiveSpinParams(n), theta0, phi0)
+    got = wigner_points(state, [theta0], [phi0])[0]
+    assert abs(got / want - 1.0) < 1e-10
+
+
 @pytest.mark.parametrize("theta0,phi0", [(0.0, 0.0), (math.pi / 2, 0.0), (1.1, 2.3)])
 def test_wigner_css_peaks_at_pointing_direction(theta0, phi0):
     p = CollectiveSpinParams(14)
@@ -232,7 +289,7 @@ def test_wigner_rotation_covariance_about_z():
     assert np.max(np.abs(w_rot - w_orig)) < 1e-10
 
 
-@pytest.mark.parametrize("n", [6, 21])
+@pytest.mark.parametrize("n", [6, 21, 200])
 def test_wigner_integral_is_state_independent(n):
     # integral of W over the sphere equals sqrt(4 pi / d) for any unit-trace state
     rng = np.random.default_rng(n)
