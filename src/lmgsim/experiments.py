@@ -377,6 +377,8 @@ def _run_tomographic_fotoc(cfg, workers):
         "scaled_value": result.otoc.value / (s / 2.0),
         "center": result.otoc.center,
         "offset": result.otoc.offset,
+        "mle_iterations": [r.iterations for r in result.reconstructions],
+        "mle_converged": [r.converged for r in result.reconstructions],
     }
     if cfg["n_boot"]:
         boot = bootstrap_otoc(

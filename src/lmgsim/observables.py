@@ -162,6 +162,8 @@ def multipole_components(state: State) -> np.ndarray:
     are the T_kq bands up to sign. They satisfy T_k,-q = (-1)^q T_kq^dagger,
     so for the Hermitian input r[k, -q] = (-1)^q conj(r[k, q]).
     """
+    from scipy.linalg import eigh_tridiagonal  # lazy: keeps scipy.linalg out of `import lmgsim`
+
     rho = as_density(state).matrix
     d = rho.shape[0]
     S = (d - 1) / 2.0
@@ -178,8 +180,7 @@ def multipole_components(state: State) -> np.ndarray:
         i = np.arange(n)
         off = -a[1:n] * a[q + 1 : d]
         diag = q * q + 2.0 * S * (S + 1) - (S - i) ** 2 - (S - i - q) ** 2
-        casimir = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        _, bands = np.linalg.eigh(casimir)  # ascending k(k+1): columns k = q..K
+        _, bands = eigh_tridiagonal(diag, off)  # ascending k(k+1): columns k = q..K
         bands[:, 0] *= (-1.0) ** q * np.sign(bands[:, 0].sum())
         if above is not None:
             lowered = np.zeros((n, K - q))  # [S-, T_k,q+1] on the q-th diagonal

@@ -153,6 +153,32 @@ class ReconstructionResult:
     converged: bool
 
 
+def _basis_tables(params: CollectiveSpinParams, axes: list[SpinAxis]):
+    """Per-direction factors of the measurement basis R_z(phi) d(theta): the real
+    Wigner d(theta) = e^{-i theta Sy}, its transpose, and e^{i phi (m_j - m_k)}."""
+    ry = np.stack([rotation_matrix(params, AXIS_Y, a.theta).real for a in axes])
+    m = params.m_values()
+    phis = np.array([a.phi for a in axes])
+    phase = np.exp(1j * phis[:, None, None] * (m[:, None] - m[None, :]))
+    return ry, np.ascontiguousarray(ry.transpose(0, 2, 1)), phase
+
+
+def _real_probabilities(rho: np.ndarray, ry: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Born probabilities p[r, i] for every record r, in real arithmetic.
+
+    With the tables of `_basis_tables`, p_r = diag(d_r^T Re(rho o phase_r) d_r):
+    the imaginary part of the Hermitian rho o phase_r drops out of the real form.
+    """
+    return np.einsum("rji,rji->ri", ry, (rho * phase).real @ ry)
+
+
+def _real_r_operator(weights: np.ndarray, ry: np.ndarray, ry_t: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """R = sum_{r,i} w[r, i] |b_ri><b_ri| = sum_r (d_r diag(w_r) d_r^T) o conj(phase_r)."""
+    n_rec, d = weights.shape
+    real_part = ((ry * weights[:, None, :]) @ ry_t).reshape(n_rec, d * d)
+    return np.einsum("rk,rk->k", real_part, phase.reshape(n_rec, d * d)).reshape(d, d).conj()
+
+
 def reconstruct(
     records: list[MeasurementRecord],
     params: CollectiveSpinParams,
@@ -170,32 +196,29 @@ def reconstruct(
     for rec in records:
         if rec.counts.size != d:
             raise ValueError(f"record histogram has {rec.counts.size} bins, expected {d}")
-    bases = np.hstack([_measurement_basis(params, rec.axis) for rec in records])  # d x (n_rec d)
-    counts = np.concatenate([rec.counts for rec in records])
+    ry, ry_t, phase = _basis_tables(params, [rec.axis for rec in records])
+    counts = np.stack([rec.counts for rec in records])  # (n_rec, d)
     total = float(np.sum(counts))
     if total <= 0.0:
         raise ValueError("records carry no counts")
     freqs = counts / total
 
-    def probabilities(rho: np.ndarray) -> np.ndarray:
-        return np.real(np.einsum("ij,ij->j", bases.conj(), rho @ bases))
-
     def log_likelihood(p: np.ndarray) -> float:
-        return float(np.sum(counts * np.log(np.clip(p, config.prob_floor, None))))
+        return float(np.sum(counts * np.log(np.maximum(p, config.prob_floor))))
 
     rho = np.eye(d, dtype=complex) / d
-    p = probabilities(rho)
+    p = _real_probabilities(rho, ry, phase)
     ll = log_likelihood(p)
     history = [ll]
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        weights = freqs / np.clip(p, config.prob_floor, None)
-        r_op = (bases * weights) @ bases.conj().T
+        weights = freqs / np.maximum(p, config.prob_floor)
+        r_op = _real_r_operator(weights, ry, ry_t, phase)
         candidate = r_op @ rho @ r_op
         candidate = 0.5 * (candidate + candidate.conj().T)
         candidate /= np.trace(candidate).real
-        p_new = probabilities(candidate)
+        p_new = _real_probabilities(candidate, ry, phase)
         ll_new = log_likelihood(p_new)
         if ll_new < ll:
             # dilute toward the identity direction until monotone again
@@ -206,7 +229,7 @@ def reconstruct(
                 candidate = step @ rho @ step.conj().T
                 candidate = 0.5 * (candidate + candidate.conj().T)
                 candidate /= np.trace(candidate).real
-                p_new = probabilities(candidate)
+                p_new = _real_probabilities(candidate, ry, phase)
                 ll_new = log_likelihood(p_new)
                 if ll_new >= ll:
                     break

@@ -212,6 +212,35 @@ def test_tomographic_task_files(tmp_path):
     assert "records.jsonl" not in {p.name for p in result2.paths}
 
 
+def test_tomographic_fotoc_reports_mle_counters(tmp_path, monkeypatch):
+    from lmgsim import experiments
+
+    pipeline = experiments.tomographic_fotoc_pipeline
+    results = []
+
+    def recording_pipeline(config):
+        results.append(pipeline(config))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "tomographic_fotoc_pipeline", recording_pipeline)
+    cfg = {
+        "experiment": "fig4",
+        "n_atoms": 6,
+        "delta_phis": [-0.1, -0.05, 0.0, 0.05, 0.1],
+        "n_directions": 10,
+        "shots": 30,
+        "wigner_n_theta": 3,
+        "wigner_n_phi": 4,
+        "seed": 3,
+    }
+    run_experiment(cfg, tmp_path / "tomo")
+    otoc = json.loads((tmp_path / "tomo" / "otoc.json").read_text())
+    (result,) = results
+    assert otoc["mle_iterations"] == [r.iterations for r in result.reconstructions]
+    assert otoc["mle_converged"] == [r.converged for r in result.reconstructions]
+    assert len(otoc["mle_iterations"]) == 5 and all(n > 0 for n in otoc["mle_iterations"])
+
+
 def test_scrambling_panel_files(tmp_path):
     cfg = {
         "experiment": "custom",

@@ -1,6 +1,10 @@
 """Moments, antisqueezing, Binder cumulant, QFI, multipoles, Wigner function."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +314,11 @@ def test_wigner_points_agree_with_grid():
     grid = wigner(state, thetas, phis)
     paired = wigner_points(state, thetas, phis)
     assert np.allclose(paired, np.diag(grid), atol=1e-12)
+
+
+def test_import_leaves_scipy_linalg_and_sparse_unloaded():
+    code = "import sys, lmgsim; print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -18,6 +18,7 @@ from lmgsim import (
     ReconstructionConfig,
     SatinConfig,
     SpinAxis,
+    as_density,
     bootstrap_otoc,
     born_probabilities,
     build_hamiltonian,
@@ -36,6 +37,7 @@ from lmgsim import (
     tomographic_fotoc_pipeline,
     uhlmann_fidelity,
 )
+from lmgsim.tomography import _basis_tables, _measurement_basis, _real_probabilities, _real_r_operator
 from helpers import random_density, random_pure_state
 
 
@@ -112,6 +114,40 @@ def test_reconstruct_pure_from_exact_probabilities():
     p, state = _lmg_state(8, 0.57)
     recs = infinite_shot_records(state, fibonacci_directions(15))
     out = reconstruct(recs, p)
+    ll = out.log_likelihoods
+    assert all(b >= a - 1e-9 for a, b in zip(ll, ll[1:]))
+    assert uhlmann_fidelity(state, out.rho) > 0.999
+
+
+@pytest.mark.parametrize("n", [6, 40, 200])
+def test_real_probability_kernel_matches_born_probabilities(n):
+    rng = np.random.default_rng(n)
+    p, pure = _lmg_state(n, 0.57)
+    axes = fibonacci_directions(12)
+    assert any(a.phi != 0.0 for a in axes)
+    ry, _, phase = _basis_tables(p, axes)
+    for state in (random_density(n, rng, rank=n + 1), pure):
+        probs = _real_probabilities(as_density(state).matrix, ry, phase)
+        for a, row in zip(axes, probs):
+            assert np.max(np.abs(row - born_probabilities(state, a))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 40, 200])
+def test_real_r_operator_matches_dense_sum(n):
+    p = CollectiveSpinParams(n)
+    axes = fibonacci_directions(12)
+    weights = np.random.default_rng(n).random((len(axes), p.dim))
+    dense = np.zeros((p.dim, p.dim), dtype=complex)
+    for a, w in zip(axes, weights):
+        b = _measurement_basis(p, a)
+        dense += (b * w) @ b.conj().T
+    r_op = _real_r_operator(weights, *_basis_tables(p, axes))
+    assert np.max(np.abs(r_op - dense)) < 1e-12 * np.max(np.abs(dense))
+
+
+def test_reconstruct_pure_at_n40_from_exact_probabilities():
+    p, state = _lmg_state(40, 0.57)
+    out = reconstruct(infinite_shot_records(state, fibonacci_directions(41)), p)
     ll = out.log_likelihoods
     assert all(b >= a - 1e-9 for a, b in zip(ll, ll[1:]))
     assert uhlmann_fidelity(state, out.rho) > 0.999
