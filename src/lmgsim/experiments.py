@@ -379,6 +379,7 @@ def _run_tomographic_fotoc(cfg, workers):
         "offset": result.otoc.offset,
         "mle_iterations": [r.iterations for r in result.reconstructions],
         "mle_converged": [r.converged for r in result.reconstructions],
+        "mle_gap": [r.gap for r in result.reconstructions],
     }
     if cfg["n_boot"]:
         boot = bootstrap_otoc(

@@ -21,6 +21,8 @@ from .dicke import (
     spin_component,
 )
 
+LEGENDRE_BLOCK_BYTES = 8 * 2**20
+
 
 @dataclass(frozen=True)
 class SpinMoments:
@@ -199,13 +201,20 @@ def multipole_components(state: State) -> np.ndarray:
 
 def _weighted_profiles(state: State, thetas: np.ndarray) -> np.ndarray:
     """w_q C[q, i], where C[q, i] = sum_k r_kq Ybar_kq(theta_i), Y = Ybar e^{iq phi},
-    and w_q = 1 at q = 0, 2 otherwise: W = Re sum_q w_q C[q] e^{iq phi}."""
+    and w_q = 1 at q = 0, 2 otherwise: W = Re sum_q w_q C[q] e^{iq phi}.
+
+    The Legendre table is built for a block of theta at a time, each block's
+    (K+1, 2K+1, block) table within LEGENDRE_BLOCK_BYTES.
+    """
     rkq = multipole_components(state)
     K = rkq.shape[0] - 1
-    ybar = sph_legendre_p_all(K, K, thetas)[0]  # (K+1, 2K+1, n_theta), real
+    block = max(1, LEGENDRE_BLOCK_BYTES // (8 * (K + 1) * (2 * K + 1)))
     c = np.empty((K + 1, thetas.size), dtype=complex)
-    for q in range(K + 1):
-        c[q] = (1.0 if q == 0 else 2.0) * (rkq[q:, q + K] @ ybar[q:, q])
+    for start in range(0, thetas.size, block):
+        cols = slice(start, start + block)
+        ybar = sph_legendre_p_all(K, K, thetas[cols])[0]  # (K+1, 2K+1, block), real
+        for q in range(K + 1):
+            c[q, cols] = (1.0 if q == 0 else 2.0) * (rkq[q:, q + K] @ ybar[q:, q])
     return c
 
 

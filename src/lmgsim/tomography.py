@@ -141,7 +141,8 @@ def records_from_json_lines(text: str, params: CollectiveSpinParams) -> list[Mea
 @dataclass(frozen=True)
 class ReconstructionConfig:
     max_iterations: int = 2000
-    tol: float = 1e-10  # stop once the log-likelihood gain falls below this
+    gap_tol: float = 1e-6  # certified stop: likelihood still to gain <= gap_tol per unit of recorded weight
+    tol: float = 1e-10  # stall guard: stop once the log-likelihood gain falls below this
     prob_floor: float = 1e-12
 
 
@@ -151,6 +152,7 @@ class ReconstructionResult:
     log_likelihoods: list[float]
     iterations: int
     converged: bool
+    gap: float  # total (lambda_max(R) - 1) at rho: bounds L(sigma) - L(rho) over every state sigma
 
 
 def _basis_tables(params: CollectiveSpinParams, axes: list[SpinAxis]):
@@ -189,6 +191,14 @@ def reconstruct(
     The log-likelihood is guaranteed nondecreasing: whenever a full step would
     lower it, the update falls back to diluted steps (I + eps R) with eps
     halved until the likelihood is restored or the sequence has stagnated.
+
+    Stopping: with R = sum_i (f_i / p_i) Pi_i at rho, concavity of the log gives
+    L(sigma) - L(rho) <= total (Tr sigma R - 1) <= total (lambda_max(R) - 1)
+    for every state sigma (Glancy, Knill & Girard, New J. Phys. 14, 095017
+    (2012)). The loop returns rho once lambda_max(R) - 1 <= gap_tol; the
+    eigensolve is skipped while the last gain still exceeds gap_tol * total.
+    The gain rule `tol`, the dilution plateau and `max_iterations` remain as
+    stall guards: on exact tail probabilities the bound can stay large.
     """
     if not records:
         raise ValueError("cannot reconstruct from an empty record list")
@@ -212,9 +222,21 @@ def reconstruct(
     history = [ll]
     converged = False
     iterations = 0
+    gain = math.inf
+    gap = None
+
+    def r_operator(p: np.ndarray) -> np.ndarray:
+        return _real_r_operator(freqs / np.maximum(p, config.prob_floor), ry, ry_t, phase)
+
     for iterations in range(1, config.max_iterations + 1):
-        weights = freqs / np.maximum(p, config.prob_floor)
-        r_op = _real_r_operator(weights, ry, ry_t, phase)
+        r_op = r_operator(p)
+        if gain <= config.gap_tol * total:
+            bound = float(np.linalg.eigvalsh(r_op)[-1]) - 1.0
+            if bound <= config.gap_tol:
+                gap = total * bound
+                converged = True  # certified: rho is within gap_tol * total of the maximum
+                iterations -= 1
+                break
         candidate = r_op @ rho @ r_op
         candidate = 0.5 * (candidate + candidate.conj().T)
         candidate /= np.trace(candidate).real
@@ -244,11 +266,14 @@ def reconstruct(
         if gain < config.tol:
             converged = True
             break
+    if gap is None:
+        gap = total * (float(np.linalg.eigvalsh(r_operator(p))[-1]) - 1.0)
     return ReconstructionResult(
         rho=DensityMatrix(rho, psd_tol=1e-6),
         log_likelihoods=history,
         iterations=iterations,
         converged=converged,
+        gap=gap,
     )
 
 

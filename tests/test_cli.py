@@ -238,6 +238,7 @@ def test_tomographic_fotoc_reports_mle_counters(tmp_path, monkeypatch):
     (result,) = results
     assert otoc["mle_iterations"] == [r.iterations for r in result.reconstructions]
     assert otoc["mle_converged"] == [r.converged for r in result.reconstructions]
+    assert otoc["mle_gap"] == [r.gap for r in result.reconstructions]
     assert len(otoc["mle_iterations"]) == 5 and all(n > 0 for n in otoc["mle_iterations"])
 
 

@@ -316,6 +316,21 @@ def test_wigner_points_agree_with_grid():
     assert np.allclose(paired, np.diag(grid), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [20, 200])
+def test_wigner_blocked_legendre_table_matches_single_block(n, monkeypatch):
+    state = random_density(n, np.random.default_rng(n))
+    thetas = np.linspace(0.0, math.pi, 23)
+    phis = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
+    point_phis = np.linspace(0.3, 5.9, thetas.size)
+    per_theta = 8 * (n + 1) * (2 * n + 1)
+    monkeypatch.setattr(observables, "LEGENDRE_BLOCK_BYTES", per_theta * thetas.size)
+    grid_one, points_one = wigner(state, thetas, phis), wigner_points(state, thetas, point_phis)
+    monkeypatch.setattr(observables, "LEGENDRE_BLOCK_BYTES", 4 * per_theta - 1)  # blocks of 3 thetas
+    grid_blocks, points_blocks = wigner(state, thetas, phis), wigner_points(state, thetas, point_phis)
+    assert np.max(np.abs(grid_blocks - grid_one)) < 1e-12
+    assert np.max(np.abs(points_blocks - points_one)) < 1e-12
+
+
 def test_import_leaves_scipy_linalg_and_sparse_unloaded():
     code = "import sys, lmgsim; print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))"
     src = str(Path(__file__).resolve().parents[1] / "src")

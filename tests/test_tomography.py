@@ -179,6 +179,49 @@ def test_reconstruct_respects_iteration_budget():
     assert not out.converged or out.iterations < 7
 
 
+def _dense_log_likelihood(recs, rho, prob_floor=ReconstructionConfig().prob_floor):
+    return sum(
+        float(np.sum(rec.counts * np.log(np.maximum(born_probabilities(rho, rec.axis), prob_floor))))
+        for rec in recs
+    )
+
+
+def _finite_shot_records(n, seed):
+    p, state = _lmg_state(n, 0.57)
+    settings = [MeasurementSetting(axis=a, shots=30) for a in fibonacci_directions(41)]
+    return p, simulate_measurements(state, settings, seed=seed)
+
+
+@pytest.mark.parametrize("n", [6, 40])
+def test_certified_stop_bounds_the_likelihood_still_to_gain(n):
+    p, recs = _finite_shot_records(n, seed=7)
+    total = sum(rec.total for rec in recs)
+    cfg = ReconstructionConfig()
+    out = reconstruct(recs, p, cfg)
+    long = reconstruct(recs, p, ReconstructionConfig(gap_tol=1e-12, max_iterations=20000))
+    assert out.converged and out.iterations < long.iterations
+    assert 0.0 <= out.gap <= cfg.gap_tol * total
+    still_to_gain = _dense_log_likelihood(recs, long.rho) - _dense_log_likelihood(recs, out.rho)
+    assert still_to_gain <= out.gap
+    assert abs(out.log_likelihoods[-1] - _dense_log_likelihood(recs, out.rho)) < 1e-9 * total
+
+
+@pytest.mark.parametrize("n", [6, 40])
+@pytest.mark.parametrize("max_iterations", [7, 2000])
+def test_reported_gap_matches_dense_r_operator(n, max_iterations):
+    p, recs = _finite_shot_records(n, seed=11)
+    out = reconstruct(recs, p, ReconstructionConfig(max_iterations=max_iterations))
+    total = sum(rec.total for rec in recs)
+    rho = out.rho.matrix
+    dense = np.zeros((p.dim, p.dim), dtype=complex)
+    for rec in recs:
+        b = _measurement_basis(p, rec.axis)
+        probs = np.real(np.einsum("ji,jk,ki->i", b.conj(), rho, b))
+        dense += (b * (rec.counts / total / probs)) @ b.conj().T
+    lam = np.linalg.eigvalsh(dense)[-1]
+    assert abs(1.0 + out.gap / total - lam) < 1e-10 * lam
+
+
 def test_reconstruct_input_validation():
     p = CollectiveSpinParams(4)
     with pytest.raises(ValueError):
