@@ -27,6 +27,9 @@ from .scrambling import FotocSample, OtocResult, otoc_from_fotoc
 
 DEFAULT_N_DIRECTIONS = 41
 DEFAULT_SHOTS = 30
+# Certified stop of `reconstruct`: the likelihood still to gain is at most
+# GAP_TOL per unit of recorded weight.
+GAP_TOL = 1e-6
 
 
 def fibonacci_directions(n: int) -> list[SpinAxis]:
@@ -141,7 +144,6 @@ def records_from_json_lines(text: str, params: CollectiveSpinParams) -> list[Mea
 @dataclass(frozen=True)
 class ReconstructionConfig:
     max_iterations: int = 2000
-    gap_tol: float = 1e-6  # certified stop: likelihood still to gain <= gap_tol per unit of recorded weight
     tol: float = 1e-10  # stall guard: stop once the log-likelihood gain falls below this
     prob_floor: float = 1e-12
 
@@ -195,10 +197,14 @@ def reconstruct(
     Stopping: with R = sum_i (f_i / p_i) Pi_i at rho, concavity of the log gives
     L(sigma) - L(rho) <= total (Tr sigma R - 1) <= total (lambda_max(R) - 1)
     for every state sigma (Glancy, Knill & Girard, New J. Phys. 14, 095017
-    (2012)). The loop returns rho once lambda_max(R) - 1 <= gap_tol; the
-    eigensolve is skipped while the last gain still exceeds gap_tol * total.
-    The gain rule `tol`, the dilution plateau and `max_iterations` remain as
-    stall guards: on exact tail probabilities the bound can stay large.
+    (2012)). The loop returns rho once lambda_max(R) - 1 <= GAP_TOL. The
+    eigensolve is skipped while the last gain still exceeds GAP_TOL * total, or
+    while v^H R v - 1 > GAP_TOL for the top eigenvector v of the last
+    eigensolve: that Rayleigh quotient is at most lambda_max(R), so the bound
+    would fail too. Neither skip moves the iteration that stops (up to
+    rounding). The gain rule `tol`, the dilution plateau and `max_iterations`
+    remain as stall guards: on exact probabilities of a mixed state the bound
+    can stay large.
     """
     if not records:
         raise ValueError("cannot reconstruct from an empty record list")
@@ -224,19 +230,25 @@ def reconstruct(
     iterations = 0
     gain = math.inf
     gap = None
+    top = None  # top eigenvector of R at the last eigensolve
 
     def r_operator(p: np.ndarray) -> np.ndarray:
         return _real_r_operator(freqs / np.maximum(p, config.prob_floor), ry, ry_t, phase)
 
     for iterations in range(1, config.max_iterations + 1):
         r_op = r_operator(p)
-        if gain <= config.gap_tol * total:
-            bound = float(np.linalg.eigvalsh(r_op)[-1]) - 1.0
-            if bound <= config.gap_tol:
-                gap = total * bound
-                converged = True  # certified: rho is within gap_tol * total of the maximum
-                iterations -= 1
-                break
+        if gain <= GAP_TOL * total:
+            if top is not None:
+                rayleigh = float(np.vdot(top, r_op @ top).real)
+            if top is None or rayleigh - 1.0 <= GAP_TOL:
+                evals, evecs = np.linalg.eigh(r_op)
+                bound = float(evals[-1]) - 1.0
+                if bound <= GAP_TOL:
+                    gap = total * bound
+                    converged = True  # certified: rho is within GAP_TOL * total of the maximum
+                    iterations -= 1
+                    break
+                top = evecs[:, -1]
         candidate = r_op @ rho @ r_op
         candidate = 0.5 * (candidate + candidate.conj().T)
         candidate /= np.trace(candidate).real

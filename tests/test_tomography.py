@@ -37,6 +37,7 @@ from lmgsim import (
     tomographic_fotoc_pipeline,
     uhlmann_fidelity,
 )
+from lmgsim import tomography
 from lmgsim.tomography import _basis_tables, _measurement_basis, _real_probabilities, _real_r_operator
 from helpers import random_density, random_pure_state
 
@@ -193,17 +194,43 @@ def _finite_shot_records(n, seed):
 
 
 @pytest.mark.parametrize("n", [6, 40])
-def test_certified_stop_bounds_the_likelihood_still_to_gain(n):
+def test_certified_stop_bounds_the_likelihood_still_to_gain(n, monkeypatch):
     p, recs = _finite_shot_records(n, seed=7)
     total = sum(rec.total for rec in recs)
-    cfg = ReconstructionConfig()
-    out = reconstruct(recs, p, cfg)
-    long = reconstruct(recs, p, ReconstructionConfig(gap_tol=1e-12, max_iterations=20000))
+    out = reconstruct(recs, p)
+    with monkeypatch.context() as m:
+        m.setattr(tomography, "GAP_TOL", 1e-12)
+        long = reconstruct(recs, p, ReconstructionConfig(max_iterations=20000))
     assert out.converged and out.iterations < long.iterations
-    assert 0.0 <= out.gap <= cfg.gap_tol * total
+    assert 0.0 <= out.gap <= tomography.GAP_TOL * total
     still_to_gain = _dense_log_likelihood(recs, long.rho) - _dense_log_likelihood(recs, out.rho)
     assert still_to_gain <= out.gap
     assert abs(out.log_likelihoods[-1] - _dense_log_likelihood(recs, out.rho)) < 1e-9 * total
+
+
+@pytest.mark.parametrize("n", [6, 40])
+def test_certified_stop_fires_at_first_certified_iteration(n, monkeypatch):
+    """Every R the loop builds is recorded; the stop must come at the first
+    iteration whose gate is open (last gain <= GAP_TOL * total) and whose
+    lambda_max(R) - 1 <= GAP_TOL, whatever eigensolves the loop skipped."""
+    p, recs = _finite_shot_records(n, seed=7)
+    total = sum(rec.total for rec in recs)
+    built = []
+
+    def spy(*args):
+        built.append(_real_r_operator(*args))
+        return built[-1]
+
+    monkeypatch.setattr(tomography, "_real_r_operator", spy)
+    out = reconstruct(recs, p)
+    assert out.converged and len(built) == out.iterations + 1
+    ll = out.log_likelihoods
+    certified = [
+        k >= 2 and ll[k - 1] - ll[k - 2] <= tomography.GAP_TOL * total
+        and np.linalg.eigvalsh(r_op)[-1] - 1.0 <= tomography.GAP_TOL
+        for k, r_op in enumerate(built, start=1)
+    ]
+    assert certified.index(True) == out.iterations
 
 
 @pytest.mark.parametrize("n", [6, 40])
