@@ -42,13 +42,12 @@ class CollectiveSpinParams:
 
 @dataclass(eq=False)
 class SpinOperators:
-    """Dense collective operators Sx, Sy, Sz and the Casimir S^2."""
+    """Dense collective operators Sx, Sy, Sz."""
 
     params: CollectiveSpinParams
     sx: np.ndarray
     sy: np.ndarray
     sz: np.ndarray
-    s2: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,8 +63,7 @@ def build_spin_operators(params: CollectiveSpinParams) -> SpinOperators:
     sx = 0.5 * (splus + sminus) + 0j
     sy = -0.5j * (splus - sminus)
     sz = np.diag(m) + 0j
-    s2 = np.full(params.dim, S * (S + 1))
-    return SpinOperators(params, sx, sy, sz, np.diag(s2) + 0j)
+    return SpinOperators(params, sx, sy, sz)
 
 
 @dataclass(frozen=True)

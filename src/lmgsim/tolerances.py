@@ -2,9 +2,8 @@
 
 Each constant has one reader: pure-state and density-matrix construction,
 Born probabilities, the QFI spectral sum or the Lindblad integrator's drift
-check. Two per-call overrides remain: `DensityMatrix(psd_tol=...)`, which
-the MLE reconstruction loosens to 1e-6 for its iterates, and
-`evolve_lindblad(trace_drift_max=...)`.
+check. One per-call override remains: `DensityMatrix(psd_tol=...)`, which
+the MLE reconstruction loosens to 1e-6 for its iterates.
 """
 
 STATE_NORM_TOL = 1e-10      # |1 - ||psi||| on pure-state construction

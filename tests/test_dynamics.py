@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from lmgsim import (
     AXIS_Z,
     CollectiveSpinParams,
     HamiltonianSpec,
     LindbladSpec,
+    SpinAxis,
     build_hamiltonian,
     build_spin_operators,
     classify_stability,
@@ -180,6 +182,30 @@ def test_lindblad_matches_dephased_closed_form():
     rho = evolve_lindblad(h, LindbladSpec(gamma=gamma, jump_axis=AXIS_Z), state, t).matrix
     target = dephased_oat_density(state.to_density().matrix, n, chi, gamma, t)
     assert np.max(np.abs(rho - target)) < 1e-8
+    assert abs(np.trace(rho).real - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 12])
+@pytest.mark.parametrize("axis", [AXIS_Z, SpinAxis(1.0, 0.4)])
+@pytest.mark.parametrize("gamma", [0.3, 2.0])
+def test_lindblad_matches_expm_of_dense_generator(n, axis, gamma):
+    p = CollectiveSpinParams(n)
+    ops = build_spin_operators(p)
+    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
+    nx, ny, nz = axis.unit_vector
+    jump = nx * ops.sx + ny * ops.sy + nz * ops.sz
+    jump2 = jump @ jump
+    eye = np.eye(p.dim)
+    # row-major vec: vec(A X B) = (A kron B^T) vec(X)
+    generator = -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + gamma * (
+        np.kron(jump, jump.T) - 0.5 * np.kron(jump2, eye) - 0.5 * np.kron(eye, jump2.T)
+    )
+    state = css(p, math.pi / 2, 0.0)
+    t = 0.5 / p.spin
+    target = (expm(t * generator) @ state.to_density().matrix.ravel()).reshape(p.dim, p.dim)
+    rho = evolve_lindblad(h, LindbladSpec(gamma=gamma, jump_axis=axis), state, t).matrix
+    assert np.max(np.abs(rho - target)) < 1e-8
+    assert np.array_equal(rho, rho.conj().T)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
 
 
