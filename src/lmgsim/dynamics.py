@@ -9,9 +9,8 @@ negated together).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,7 @@ def build_hamiltonian(spec: HamiltonianSpec, params: CollectiveSpinParams) -> np
 
     Sz^2 is diagonal, so chi m^2 goes straight onto the diagonal; no Sz.Sz
     product is formed. For LMG with Omega >= 0 the bytes equal those of
-    chi (Sz @ Sz) + Omega Sx, which keeps the propagator cache keys stable.
+    chi (Sz @ Sz) + Omega Sx.
     """
     ops = build_spin_operators(params)
     if spec.kind == "TAT":
@@ -109,17 +108,10 @@ def classify_stability(chi: float, omega: float, spin: float) -> StabilityReport
 
 
 class UnitaryPropagator:
-    """Spectral-decomposition propagator for a fixed Hermitian H."""
+    """Spectral-decomposition propagator of the Hamiltonian named by spec."""
 
-    def __init__(self, hamiltonian: np.ndarray):
-        h = np.asarray(hamiltonian)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"Hamiltonian must be square, got shape {h.shape}")
-        herm = np.max(np.abs(h - h.conj().T))
-        scale = max(np.max(np.abs(h)), 1.0)
-        if herm > 1e-12 * scale:
-            raise ValueError(f"Hamiltonian not Hermitian: max deviation {herm:.3e}")
-        self.eigvals, self.eigvecs = np.linalg.eigh(h)
+    def __init__(self, spec: HamiltonianSpec, params: CollectiveSpinParams):
+        self.eigvals, self.eigvecs = np.linalg.eigh(build_hamiltonian(spec, params))
 
     def unitary(self, t: float) -> np.ndarray:
         v = self.eigvecs
@@ -134,31 +126,19 @@ class UnitaryPropagator:
         return DensityMatrix(u @ state.matrix @ u.conj().T)
 
 
-_propagator_cache: OrderedDict[bytes, UnitaryPropagator] = OrderedDict()
-_PROPAGATOR_CACHE_MAX = 32
-_prop_lock = threading.Lock()
+@functools.lru_cache(maxsize=32)
+def propagator_for(spec: HamiltonianSpec, params: CollectiveSpinParams) -> UnitaryPropagator:
+    """Eigendecomposition of H, cached on (spec, params).
+
+    The reversed spec is its own entry: its H is -H to the bit, so the
+    backward leg of an echo is diagonalized from exactly that matrix.
+    """
+    return UnitaryPropagator(spec, params)
 
 
-def propagator_for(hamiltonian: np.ndarray) -> UnitaryPropagator:
-    """Cached eigendecomposition, keyed by the exact matrix bytes."""
-    key = np.ascontiguousarray(hamiltonian).tobytes()
-    with _prop_lock:
-        hit = _propagator_cache.get(key)
-        if hit is not None:
-            _propagator_cache.move_to_end(key)
-            return hit
-    prop = UnitaryPropagator(hamiltonian)
-    with _prop_lock:
-        if key not in _propagator_cache:
-            if len(_propagator_cache) >= _PROPAGATOR_CACHE_MAX:
-                _propagator_cache.popitem(last=False)
-            _propagator_cache[key] = prop
-        return _propagator_cache[key]
-
-
-def evolve_unitary(hamiltonian: np.ndarray, state: State, t: float) -> State:
-    """Evolve a pure or mixed state for time t under a fixed Hermitian H."""
-    return propagator_for(hamiltonian).evolve(state, t)
+def evolve_unitary(spec: HamiltonianSpec, state: State, t: float) -> State:
+    """Evolve a pure or mixed state for time t under the Hamiltonian of spec."""
+    return propagator_for(spec, state.params).evolve(state, t)
 
 
 @dataclass(frozen=True)
@@ -173,15 +153,15 @@ class LindbladSpec:
             raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
 
 
-def default_lindblad_dt(hamiltonian: np.ndarray, spec: LindbladSpec, spin: float) -> float:
-    """Step heuristic dt = 0.01 / (||H||_2 + gamma S^2)."""
-    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(hamiltonian))))
-    return 0.01 / (hnorm + spec.gamma * spin**2)
+def default_lindblad_dt(spec: HamiltonianSpec, lindblad: LindbladSpec, params: CollectiveSpinParams) -> float:
+    """Step heuristic dt = 0.01 / (||H||_2 + gamma S^2), ||H||_2 from the cached spectrum."""
+    hnorm = float(np.max(np.abs(propagator_for(spec, params).eigvals)))
+    return 0.01 / (hnorm + lindblad.gamma * params.spin**2)
 
 
 def evolve_lindblad(
-    hamiltonian: np.ndarray,
-    spec: LindbladSpec,
+    spec: HamiltonianSpec,
+    lindblad: LindbladSpec,
     state: State,
     t: float,
     dt: float | None = None,
@@ -202,19 +182,19 @@ def evolve_lindblad(
     rho = as_density(state).matrix
     if t == 0.0:
         return DensityMatrix(rho.copy())
-    params = CollectiveSpinParams(rho.shape[0] - 1)
+    params = state.params
     if dt is None:
-        dt = default_lindblad_dt(hamiltonian, spec, params.spin)
+        dt = default_lindblad_dt(spec, lindblad, params)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n_steps = max(1, math.ceil(t / dt))
     dt = t / n_steps
 
-    w, v = _axis_eigensystem(params, spec.jump_axis)
+    w, v = _axis_eigensystem(params, lindblad.jump_axis)
     vh = v.conj().T
-    h = vh @ np.asarray(hamiltonian, dtype=complex) @ v
+    h = vh @ build_hamiltonian(spec, params) @ v
     h = 0.5 * (h + h.conj().T)
-    decay = -0.5 * spec.gamma * np.subtract.outer(w, w) ** 2
+    decay = -0.5 * lindblad.gamma * np.subtract.outer(w, w) ** 2
     # RK4 on a linear generator G is the Taylor map sum_k (dt G)^k / k!, k <= 4;
     # term k is (dt / k) G applied to term k - 1
     stages = [(-1j * c * h, c * decay) for c in (dt, dt / 2, dt / 3, dt / 4)]

@@ -9,28 +9,22 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib.metadata import PackageNotFoundError, version as _dist_version
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .dicke import CollectiveSpinParams, SpinAxis, css
-from .dynamics import HamiltonianSpec, LindbladSpec, build_hamiltonian, evolve_unitary
+from .dynamics import HamiltonianSpec, LindbladSpec, evolve_unitary
 from .observables import antisqueezing, binder_cumulant, wigner
 from .satin import SatinConfig, gain_vs_time_sweep, signal_gain
-from .scrambling import DEFAULT_DELTA_PHI_GRID, fotoc, otoc_from_fotoc
+from .scrambling import DEFAULT_DELTA_PHI_GRID, check_probe_grid, fotoc, otoc_from_fotoc
 from .tomography import (
     FotocPipelineConfig,
     bootstrap_otoc,
     records_to_json_lines,
     tomographic_fotoc_pipeline,
 )
-
-try:
-    VERSION = _dist_version("lmgsim")
-except PackageNotFoundError:  # running from a source tree without install
-    VERSION = "0.0.0+local"
-
 
 class ConfigError(ValueError):
     """Raised for unparseable, incomplete, or out-of-range configs."""
@@ -215,8 +209,12 @@ def _validate(cfg: dict) -> None:
         _require_alpha(cfg)
         _require_number(cfg, "s_chi_t", 0.0)
         dphis = cfg["delta_phis"]
-        if not isinstance(dphis, (list, tuple)) or len(dphis) < 5 or not all(_is_number(x) for x in dphis):
-            raise ConfigError(f"delta_phis must list at least 5 finite probe angles, got {dphis!r}")
+        if not isinstance(dphis, (list, tuple)) or not all(_is_number(x) for x in dphis):
+            raise ConfigError(f"delta_phis must be a list of finite probe angles, got {dphis!r}")
+        try:
+            check_probe_grid(dphis)
+        except ValueError as exc:
+            raise ConfigError(f"delta_phis: {exc}") from exc
         _require_int(cfg, "n_directions", 1)
         if cfg["shots"] is not None:
             _require_int(cfg, "shots", 1)
@@ -235,6 +233,9 @@ def _validate(cfg: dict) -> None:
         if (not isinstance(win, (list, tuple)) or len(win) != 2
                 or not all(_is_number(x) for x in win) or win[0] >= win[1]):
             raise ConfigError(f"fit_window must be [a, b] with a < b, got {win!r}")
+        inside = int(np.count_nonzero(_in_window(cfg["s_chi_t_grid"], win)))
+        if inside < 4:
+            raise ConfigError(f"s_chi_t_grid needs at least 4 points in fit_window {win}, got {inside}")
 
 
 def load_config(path) -> dict:
@@ -256,7 +257,7 @@ def manifest_hash(config: dict) -> str:
     cross-reference identically.
     """
     payload = {"config": {k: v for k, v in config.items() if k != "outdir"},
-               "seed": config["seed"], "version": VERSION}
+               "seed": config["seed"], "version": __version__}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -296,8 +297,7 @@ def _run_antisqueezing_drive_sweep(cfg, workers):
     t = cfg["s_chi_t"] / scale
 
     def point(r):
-        h = build_hamiltonian(_spec_for(cfg, r), params)
-        a = antisqueezing(evolve_unitary(h, state0, t))
+        a = antisqueezing(evolve_unitary(_spec_for(cfg, r), state0, t))
         return (r, r * scale, a.xi_plus_sq, a.alpha_max)
 
     rows = _map_grid(point, ratios, workers)
@@ -314,8 +314,7 @@ def _run_antisqueezing_vs_time(cfg, workers):
 
     def point(pair):
         r, st = pair
-        h = build_hamiltonian(_spec_for(cfg, r), params)
-        return antisqueezing(evolve_unitary(h, state0, st / scale)).xi_plus_sq
+        return antisqueezing(evolve_unitary(_spec_for(cfg, r), state0, st / scale)).xi_plus_sq
 
     vals = _map_grid(point, pairs, workers)
     cols = np.asarray(vals).reshape(len(ratios), len(times))
@@ -328,10 +327,10 @@ def _run_binder_vs_time(cfg, workers):
     params = CollectiveSpinParams(cfg["n_atoms"])
     scale = params.spin * cfg["chi"]
     state0 = css(params, math.pi / 2, 0.0)
-    h = build_hamiltonian(_spec_for(cfg, cfg["ratio"]), params)
+    spec = _spec_for(cfg, cfg["ratio"])
 
     def point(st):
-        state = evolve_unitary(h, state0, st / scale)
+        state = evolve_unitary(spec, state0, st / scale)
         a = antisqueezing(state)
         b = binder_cumulant(state, SpinAxis.in_plane(a.alpha_max))
         return (st, b, a.alpha_max)
@@ -413,14 +412,13 @@ def _run_scrambling_panel(cfg, workers):
     scale = params.spin * cfg["chi"]
     state0 = css(params, math.pi / 2, 0.0)
     spec = _spec_for(cfg, cfg["ratio"])
-    h = build_hamiltonian(spec, params)
     axis = SpinAxis.in_plane(cfg["alpha"])
 
     def point(st):
         t = st / scale
-        xi = antisqueezing(evolve_unitary(h, state0, t)).xi_plus_sq
+        xi = antisqueezing(evolve_unitary(spec, state0, t)).xi_plus_sq
         g = signal_gain(state0, SatinConfig(hamiltonian=spec, t=t, alpha=cfg["alpha"]))
-        i_val = otoc_from_fotoc(fotoc(h, state0, axis, t)).value
+        i_val = otoc_from_fotoc(fotoc(spec, state0, axis, t)).value
         return (st, xi, g * g, i_val / (params.spin / 2.0))
 
     rows = _map_grid(point, cfg["s_chi_t_grid"], workers)
@@ -482,7 +480,7 @@ def run_experiment(config: dict, outdir, workers: int = 1) -> RunResult:
     manifest = {
         "config": {k: v for k, v in cfg.items() if k != "outdir"},
         "seed": cfg["seed"],
-        "version": VERSION,
+        "version": __version__,
         "manifest_sha256": digest,
         "wall_time_s": round(wall, 3),
         "outputs": [p.name for p in paths],
@@ -501,6 +499,12 @@ class ExponentFit:
     n_points: int
 
 
+def _in_window(times, window) -> np.ndarray:
+    """Mask of the times inside [a, b], with 1e-12 slack for grid rounding."""
+    t = np.asarray(times, dtype=float)
+    return (t >= float(window[0]) - 1e-12) & (t <= float(window[1]) + 1e-12)
+
+
 def fit_exponent(times, values, window) -> ExponentFit:
     """Least-squares exponent of y ~ e^{2 lambda t} on a time window.
 
@@ -511,11 +515,10 @@ def fit_exponent(times, values, window) -> ExponentFit:
     y = np.asarray(values, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError(f"times and values must be matching 1-d arrays, got {t.shape} vs {y.shape}")
-    lo, hi = float(window[0]), float(window[1])
-    mask = (t >= lo - 1e-12) & (t <= hi + 1e-12)
+    mask = _in_window(t, window)
     t, y = t[mask], y[mask]
     if t.size < 4:
-        raise ValueError(f"need at least 4 points in window [{lo}, {hi}], got {t.size}")
+        raise ValueError(f"need at least 4 points in window [{window[0]}, {window[1]}], got {t.size}")
     if np.min(y) <= 0.0:
         raise ValueError(f"non-positive value {np.min(y):.3e} in fit window; cannot take log")
     ln_y = np.log(y)

@@ -24,7 +24,7 @@ from .dicke import (
     rotate,
     spin_component,
 )
-from .dynamics import HamiltonianSpec, LindbladSpec, build_hamiltonian, evolve_lindblad, evolve_unitary
+from .dynamics import HamiltonianSpec, LindbladSpec, evolve_lindblad, evolve_unitary
 
 READOUT_SCAN_POINTS = 64
 
@@ -61,14 +61,14 @@ class SatinResult:
 
 def _satin_finals(state: State, config: SatinConfig, delta_phis) -> list[State]:
     """Final states of the protocol for each probe angle; the forward leg runs once."""
-    h_fwd = build_hamiltonian(config.hamiltonian, state.params)
-    h_bwd = -h_fwd
+    fwd = config.hamiltonian
+    bwd = fwd.reversed()
     axis = SpinAxis.in_plane(config.alpha)
     if config.lindblad is None:
-        mid = evolve_unitary(h_fwd, state, config.t)
-        return [evolve_unitary(h_bwd, rotate(mid, axis, dphi), config.t) for dphi in delta_phis]
-    mid = evolve_lindblad(h_fwd, config.lindblad, state, config.t)
-    return [evolve_lindblad(h_bwd, config.lindblad, rotate(mid, axis, dphi), config.t) for dphi in delta_phis]
+        mid = evolve_unitary(fwd, state, config.t)
+        return [evolve_unitary(bwd, rotate(mid, axis, dphi), config.t) for dphi in delta_phis]
+    mid = evolve_lindblad(fwd, config.lindblad, state, config.t)
+    return [evolve_lindblad(bwd, config.lindblad, rotate(mid, axis, dphi), config.t) for dphi in delta_phis]
 
 
 def run_satin(state: State, config: SatinConfig, delta_phi: float) -> State:

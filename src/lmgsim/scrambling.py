@@ -11,15 +11,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import PureState, SpinAxis, State, _axis_eigensystem, as_density, build_spin_operators, spin_component
-from .dynamics import propagator_for
+from .dicke import (
+    CollectiveSpinParams,
+    PureState,
+    SpinAxis,
+    State,
+    _axis_eigensystem,
+    as_density,
+    build_spin_operators,
+    spin_component,
+)
+from .dynamics import HamiltonianSpec, propagator_for
 
 DEFAULT_DELTA_PHI_GRID = (-0.01, -0.005, -0.002, 0.0, 0.002, 0.005, 0.01)
 
 
-def heisenberg_operator(hamiltonian: np.ndarray, op: np.ndarray, t: float) -> np.ndarray:
-    """A(t) = e^{+iHt} A e^{-iHt}."""
-    u = propagator_for(hamiltonian).unitary(t)
+def heisenberg_operator(spec: HamiltonianSpec, op: np.ndarray, t: float) -> np.ndarray:
+    """A(t) = e^{+iHt} A e^{-iHt}, on the Dicke ladder of op's dimension."""
+    u = propagator_for(spec, CollectiveSpinParams(op.shape[0] - 1)).unitary(t)
     return u.conj().T @ op @ u
 
 
@@ -30,7 +39,7 @@ class FotocSample:
 
 
 def fotoc(
-    hamiltonian: np.ndarray,
+    spec: HamiltonianSpec,
     state: State,
     axis: SpinAxis,
     t: float,
@@ -43,7 +52,7 @@ def fotoc(
     (w_k, |k_a>) of S_a, so psi is evolved once and no unitary is formed.
     Density matrices take the dense echo.
     """
-    prop = propagator_for(hamiltonian)
+    prop = propagator_for(spec, state.params)
     w, v = _axis_eigensystem(state.params, axis)
     if isinstance(state, PureState):
         weights = np.abs(v.conj().T @ prop.evolve(state, t).amplitudes) ** 2
@@ -75,20 +84,24 @@ class OtocResult:
     center: float
 
 
-def otoc_from_fotoc(samples: list[FotocSample]) -> OtocResult:
-    """Least-squares parabola through the (dphi, F) samples.
-
-    Needs at least 5 samples covering both probe signs so the peak offset is
-    determined by data rather than extrapolation.
-    """
-    if len(samples) < 5:
-        raise ValueError(f"need at least 5 fidelity samples for the quadratic fit, got {len(samples)}")
-    x = np.array([s.delta_phi for s in samples])
-    y = np.array([s.fidelity for s in samples])
+def check_probe_grid(delta_phis) -> None:
+    """Raise ValueError unless the probe angles determine the quadratic fit:
+    at least 5 of them, both signs, and at least 3 distinct values, so the
+    peak offset comes from data rather than extrapolation."""
+    x = np.asarray(delta_phis, dtype=float)
+    if x.size < 5:
+        raise ValueError(f"need at least 5 probe angles for the quadratic fit, got {x.size}")
     if np.all(x >= 0.0) or np.all(x <= 0.0):
-        raise ValueError("fidelity samples must span both signs of delta_phi")
+        raise ValueError("probe angles must span both signs of delta_phi")
     if np.unique(x).size < 3:
         raise ValueError("quadratic fit is singular: fewer than 3 distinct delta_phi values")
+
+
+def otoc_from_fotoc(samples: list[FotocSample]) -> OtocResult:
+    """Least-squares parabola through the (dphi, F) samples; see check_probe_grid."""
+    x = np.array([s.delta_phi for s in samples])
+    y = np.array([s.fidelity for s in samples])
+    check_probe_grid(x)
     p2, p1, p0 = np.polyfit(x, y, 2)
     value = -p2
     if value == 0.0:
@@ -98,7 +111,7 @@ def otoc_from_fotoc(samples: list[FotocSample]) -> OtocResult:
     return OtocResult(value=float(value), offset=offset, center=float(center))
 
 
-def otoc_trace_form(hamiltonian: np.ndarray, state: State, axis: SpinAxis, t: float) -> float:
+def otoc_trace_form(spec: HamiltonianSpec, state: State, axis: SpinAxis, t: float) -> float:
     """Diagnostic: literal Tr(S_a(t) rho S_a(t) rho).
 
     For pure states this equals <S_a(t)>^2, not the fidelity curvature
@@ -106,5 +119,5 @@ def otoc_trace_form(hamiltonian: np.ndarray, state: State, axis: SpinAxis, t: fl
     """
     rho = as_density(state).matrix
     gen = spin_component(build_spin_operators(state.params), axis)
-    a_t = heisenberg_operator(hamiltonian, gen, t)
+    a_t = heisenberg_operator(spec, gen, t)
     return float(np.real(np.trace(a_t @ rho @ a_t @ rho)))

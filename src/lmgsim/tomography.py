@@ -23,7 +23,7 @@ from .dicke import (
     rotation_matrix,
 )
 from .satin import SatinConfig, run_satin
-from .scrambling import FotocSample, OtocResult, otoc_from_fotoc
+from .scrambling import DEFAULT_DELTA_PHI_GRID, FotocSample, OtocResult, otoc_from_fotoc
 
 DEFAULT_N_DIRECTIONS = 41
 DEFAULT_SHOTS = 30
@@ -314,7 +314,7 @@ class FotocPipelineConfig:
 
     params: CollectiveSpinParams
     satin: SatinConfig
-    delta_phis: tuple = (-0.01, -0.005, -0.002, 0.0, 0.002, 0.005, 0.01)
+    delta_phis: tuple = DEFAULT_DELTA_PHI_GRID
     n_directions: int = DEFAULT_N_DIRECTIONS
     shots: int | None = DEFAULT_SHOTS
     seed: int = 0

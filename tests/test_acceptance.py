@@ -25,7 +25,6 @@ from lmgsim import (
     antisqueezing,
     as_density,
     bootstrap_otoc,
-    build_hamiltonian,
     build_spin_operators,
     css,
     evolve_lindblad,
@@ -57,10 +56,10 @@ def _critical_spec(params: CollectiveSpinParams) -> HamiltonianSpec:
 @functools.lru_cache(maxsize=1)
 def _squeezing_series_200():
     params = CollectiveSpinParams(N_BIG)
-    h = build_hamiltonian(_critical_spec(params), params)
+    spec = _critical_spec(params)
     state0 = css(params, math.pi / 2, 0.0)
     scale = params.spin * CHI
-    return [antisqueezing(evolve_unitary(h, state0, st / scale)).xi_plus_sq for st in FIT_GRID]
+    return [antisqueezing(evolve_unitary(spec, state0, st / scale)).xi_plus_sq for st in FIT_GRID]
 
 
 def test_criterion_1_lyapunov_exponent(acceptance):
@@ -82,8 +81,8 @@ def test_criterion_2_drive_sweep_peak(acceptance):
     ratios = [round(-1.0 + 0.125 * k, 10) for k in range(33)]
     values = []
     for r in ratios:
-        h = build_hamiltonian(HamiltonianSpec(chi=CHI, omega=r * scale), params)
-        values.append(antisqueezing(evolve_unitary(h, state0, t)).xi_plus_sq)
+        spec = HamiltonianSpec(chi=CHI, omega=r * scale)
+        values.append(antisqueezing(evolve_unitary(spec, state0, t)).xi_plus_sq)
     peak = ratios[int(np.argmax(values))]
     ok = abs(peak - 1.0) <= 0.125 + 1e-12
     acceptance(2, f"antisqueezing peak over drive at S-chi-t=1.9: ratio={peak:g}", ok)
@@ -93,7 +92,6 @@ def test_criterion_2_drive_sweep_peak(acceptance):
 def test_criterion_3_exponent_agreement(acceptance):
     params = CollectiveSpinParams(N_BIG)
     spec = _critical_spec(params)
-    h = build_hamiltonian(spec, params)
     state0 = css(params, math.pi / 2, 0.0)
     axis = SpinAxis.in_plane(math.pi / 4)
     scale = params.spin * CHI
@@ -103,7 +101,7 @@ def test_criterion_3_exponent_agreement(acceptance):
         t = st / scale
         g = signal_gain(state0, SatinConfig(hamiltonian=spec, t=t))
         g2.append(g * g)
-        otoc.append(otoc_from_fotoc(fotoc(h, state0, axis, t)).value / (params.spin / 2.0))
+        otoc.append(otoc_from_fotoc(fotoc(spec, state0, axis, t)).value / (params.spin / 2.0))
     lams = {
         "xi": fit_exponent(FIT_GRID, _squeezing_series_200(), (0.2, 0.8)).lyapunov,
         "g2": fit_exponent(FIT_GRID, g2, (0.2, 0.8)).lyapunov,
@@ -155,7 +153,6 @@ def test_criterion_5_metrological_gain(acceptance):
 def test_criterion_6_otoc_equals_heisenberg_variance(acceptance):
     params = CollectiveSpinParams(50)
     spec = _critical_spec(params)
-    h = build_hamiltonian(spec, params)
     state0 = css(params, math.pi / 2, 0.0)
     axis = SpinAxis.in_plane(math.pi / 4)
     gen = spin_component(build_spin_operators(params), axis)
@@ -163,8 +160,8 @@ def test_criterion_6_otoc_equals_heisenberg_variance(acceptance):
     worst = 0.0
     for st in (0.38, 0.57, 0.77, 0.96):
         t = st / scale
-        curved = otoc_from_fotoc(fotoc(h, state0, axis, t)).value
-        op = heisenberg_operator(h, gen, t)
+        curved = otoc_from_fotoc(fotoc(spec, state0, axis, t)).value
+        op = heisenberg_operator(spec, gen, t)
         mean = np.real(np.vdot(state0.amplitudes, op @ state0.amplitudes))
         mean_sq = np.real(np.vdot(op @ state0.amplitudes, op @ state0.amplitudes))
         var = mean_sq - mean**2
@@ -179,9 +176,9 @@ def test_criterion_7_fotoc_closed_form(acceptance):
     worst = 0.0
     for n in (2, 20, 200):
         params = CollectiveSpinParams(n)
-        h = build_hamiltonian(HamiltonianSpec(chi=CHI), params)
+        spec = HamiltonianSpec(chi=CHI)
         state0 = css(params, math.pi / 2, 0.0)
-        for s in fotoc(h, state0, AXIS_Z, 0.0, dphis):
+        for s in fotoc(spec, state0, AXIS_Z, 0.0, dphis):
             exact = math.cos(s.delta_phi / 2.0) ** (2 * n)
             worst = max(worst, abs(s.fidelity - exact))
     ok = worst <= 1e-8
@@ -197,18 +194,18 @@ def test_criterion_8_lindblad_correctness(acceptance):
     scale = params.spin * CHI
     t = 0.5 / scale
 
-    h_lmg = build_hamiltonian(_critical_spec(params), params)
-    rho_free = evolve_lindblad(h_lmg, LindbladSpec(gamma=0.0), state0, t)
-    rho_unitary = as_density(evolve_unitary(h_lmg, state0, t))
+    spec_lmg = _critical_spec(params)
+    rho_free = evolve_lindblad(spec_lmg, LindbladSpec(gamma=0.0), state0, t)
+    rho_unitary = as_density(evolve_unitary(spec_lmg, state0, t))
     dev_free = float(np.max(np.abs(rho_free.matrix - rho_unitary.matrix)))
 
     gamma = 0.5
-    h_oat = build_hamiltonian(HamiltonianSpec(chi=CHI, kind="OAT"), params)
-    rho_num = evolve_lindblad(h_oat, LindbladSpec(gamma=gamma), state0, t)
+    spec_oat = HamiltonianSpec(chi=CHI, kind="OAT")
+    rho_num = evolve_lindblad(spec_oat, LindbladSpec(gamma=gamma), state0, t)
     rho_exact = dephased_oat_density(as_density(state0).matrix, 50, CHI, gamma, t)
     dev_deph = float(np.max(np.abs(rho_num.matrix - rho_exact)))
 
-    rho_long = evolve_lindblad(h_lmg, LindbladSpec(gamma=gamma), state0, 1.0 / scale)
+    rho_long = evolve_lindblad(spec_lmg, LindbladSpec(gamma=gamma), state0, 1.0 / scale)
     drift = abs(float(np.real(np.trace(rho_long.matrix))) - 1.0)  # per unit S chi t
 
     ok = dev_free <= 1e-7 and dev_deph <= 1e-6 and drift < 1e-8
@@ -222,15 +219,15 @@ def test_criterion_8_lindblad_correctness(acceptance):
 
 def test_criterion_9_tat_correspondence(acceptance):
     params = CollectiveSpinParams(N_BIG)
-    h_lmg = build_hamiltonian(_critical_spec(params), params)
-    h_tat = build_hamiltonian(HamiltonianSpec(chi=CHI / 2.0, kind="TAT"), params)
+    spec_lmg = _critical_spec(params)
+    spec_tat = HamiltonianSpec(chi=CHI / 2.0, kind="TAT")
     state0 = css(params, math.pi / 2, 0.0)
     scale = params.spin * CHI
     worst = 0.0
     for st in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
         t = st / scale
-        v_lmg = antisqueezing(evolve_unitary(h_lmg, state0, t)).xi_plus_sq
-        v_tat = antisqueezing(evolve_unitary(h_tat, state0, t)).xi_plus_sq
+        v_lmg = antisqueezing(evolve_unitary(spec_lmg, state0, t)).xi_plus_sq
+        v_tat = antisqueezing(evolve_unitary(spec_tat, state0, t)).xi_plus_sq
         worst = max(worst, abs(v_lmg - v_tat) / v_tat)
     ok = worst <= 0.05
     acceptance(9, f"critical drive tracks two-axis twisting to S-chi-t=0.3: max dev {worst:.4f}", ok)
@@ -240,9 +237,9 @@ def test_criterion_9_tat_correspondence(acceptance):
 @pytest.mark.slow
 def test_criterion_10_tomography_fidelity(acceptance):
     params = CollectiveSpinParams(N_BIG)
-    h = build_hamiltonian(_critical_spec(params), params)
+    spec = _critical_spec(params)
     scale = params.spin * CHI
-    target = evolve_unitary(h, css(params, math.pi / 2, 0.0), 0.57 / scale)
+    target = evolve_unitary(spec, css(params, math.pi / 2, 0.0), 0.57 / scale)
     settings = [MeasurementSetting(axis=a, shots=30) for a in fibonacci_directions(41)]
     records = simulate_measurements(target, settings, seed=12345)
     result = reconstruct(records, params, ReconstructionConfig())

@@ -285,6 +285,10 @@ def test_cli_validate_and_run(tmp_path, capsys):
         {"experiment": "fig4", "alpha": 3.5},
         {"experiment": "fig5", "alpha": math.pi},
         {"experiment": "fig3", "delta_phi_probe": 0.02},
+        # grids the final fit cannot use, which would otherwise fail only after the whole run
+        {"experiment": "fig4", "delta_phis": [0.001, 0.002, 0.003, 0.004, 0.005]},  # one sign
+        {"experiment": "fig4", "delta_phis": [-0.01, -0.01, 0.01, 0.01, 0.01]},  # two distinct values
+        {"experiment": "fig5", "s_chi_t_grid": [0.1, 0.5, 0.9]},  # one point in fit_window
     ],
 )
 def test_cli_rejects_probe_out_of_range_before_writing(tmp_path, capsys, raw):

@@ -102,39 +102,46 @@ def test_stability_frequencies():
 @pytest.mark.parametrize("t", [0.05, 0.31, 1.7])
 def test_unitary_matches_expm(t):
     p = CollectiveSpinParams(8)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=4.0), p)
+    spec = HamiltonianSpec(chi=1.0, omega=4.0)
     rng = np.random.default_rng(42)
     state = random_pure_state(8, rng)
-    ours = evolve_unitary(h, state, t)
-    oracle = brute_force_evolve(h, state, t)
+    ours = evolve_unitary(spec, state, t)
+    oracle = brute_force_evolve(build_hamiltonian(spec, p), state, t)
     assert abs(abs(ours.overlap(oracle)) - 1.0) < 1e-12
     assert np.max(np.abs(ours.amplitudes - oracle.amplitudes)) < 1e-10
 
 
 def test_unitary_density_evolution():
     p = CollectiveSpinParams(8)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=4.0), p)
+    spec = HamiltonianSpec(chi=1.0, omega=4.0)
     state = css(p, math.pi / 2, 0.0)
-    rho_t = evolve_unitary(h, state.to_density(), 0.4).matrix
-    psi_t = evolve_unitary(h, state, 0.4)
+    rho_t = evolve_unitary(spec, state.to_density(), 0.4).matrix
+    psi_t = evolve_unitary(spec, state, 0.4)
     assert np.allclose(rho_t, psi_t.to_density().matrix, atol=1e-12)
 
 
 def test_propagator_group_property_and_cache():
     p = CollectiveSpinParams(8)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=4.0), p)
-    prop = propagator_for(h)
-    assert propagator_for(h) is prop
+    spec = HamiltonianSpec(chi=1.0, omega=4.0)
+    prop = propagator_for(spec, p)
+    assert propagator_for(spec, p) is prop
     u = prop.unitary(0.3) @ prop.unitary(0.5)
     assert np.allclose(u, prop.unitary(0.8), atol=1e-10)
     assert np.allclose(prop.unitary(0.3) @ prop.unitary(-0.3), np.eye(p.dim), atol=1e-12)
+    # the reversed spec is its own entry, with the negated spectrum
+    back = propagator_for(spec.reversed(), p)
+    assert back is not prop
+    assert np.allclose(np.sort(-back.eigvals), prop.eigvals, atol=1e-12)
+    for k in range(40):
+        propagator_for(HamiltonianSpec(chi=1.0, omega=0.1 * k), p)
+    assert propagator_for.cache_info().currsize == 32
 
 
 def test_forward_backward_echo():
     p = CollectiveSpinParams(60)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
+    spec = HamiltonianSpec(chi=1.0, omega=p.spin)
     state = css(p, math.pi / 2, 0.0)
-    echoed = evolve_unitary(-h, evolve_unitary(h, state, 0.02), 0.02)
+    echoed = evolve_unitary(spec.reversed(), evolve_unitary(spec, state, 0.02), 0.02)
     assert abs(abs(echoed.overlap(state)) - 1.0) < 1e-12
 
 
@@ -149,37 +156,37 @@ def test_stable_regime_variance_is_periodic():
     rep = classify_stability(1.0, 3.0 * s, s)
     period = math.pi / rep.omega_hp
 
-    def var_z(h, t):
-        st = evolve_unitary(h, state0, t)
+    def var_z(spec, t):
+        st = evolve_unitary(spec, state0, t)
         mean = st.expectation(ops.sz).real
         return st.expectation(ops.sz @ ops.sz).real - mean * mean
 
-    h_stable = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=3.0 * s), p)
-    v0 = var_z(h_stable, 0.0)
-    assert abs(var_z(h_stable, period) - v0) / v0 < 0.02
-    samples = [var_z(h_stable, t) for t in np.linspace(0.0, 2.0 * period, 17)]
+    spec_stable = HamiltonianSpec(chi=1.0, omega=3.0 * s)
+    v0 = var_z(spec_stable, 0.0)
+    assert abs(var_z(spec_stable, period) - v0) / v0 < 0.02
+    samples = [var_z(spec_stable, t) for t in np.linspace(0.0, 2.0 * period, 17)]
     assert max(samples) < 4.0 * v0
-    h_critical = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=s), p)
-    assert var_z(h_critical, period) > 10.0 * v0
+    spec_critical = HamiltonianSpec(chi=1.0, omega=s)
+    assert var_z(spec_critical, period) > 10.0 * v0
 
 
 def test_lindblad_gamma_zero_matches_unitary():
     p = CollectiveSpinParams(20)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
+    spec = HamiltonianSpec(chi=1.0, omega=p.spin)
     state = css(p, math.pi / 2, 0.0)
     t = 0.4 / p.spin
-    rho = evolve_lindblad(h, LindbladSpec(gamma=0.0), state, t).matrix
-    target = evolve_unitary(h, state, t).to_density().matrix
+    rho = evolve_lindblad(spec, LindbladSpec(gamma=0.0), state, t).matrix
+    target = evolve_unitary(spec, state, t).to_density().matrix
     assert np.max(np.abs(rho - target)) < 1e-8
 
 
 def test_lindblad_matches_dephased_closed_form():
     n, chi, gamma = 20, 1.0, 0.8
     p = CollectiveSpinParams(n)
-    h = build_hamiltonian(HamiltonianSpec(chi=chi, kind="OAT"), p)
+    spec = HamiltonianSpec(chi=chi, kind="OAT")
     state = css(p, math.pi / 2, 0.0)
     t = 0.3 / p.spin
-    rho = evolve_lindblad(h, LindbladSpec(gamma=gamma, jump_axis=AXIS_Z), state, t).matrix
+    rho = evolve_lindblad(spec, LindbladSpec(gamma=gamma, jump_axis=AXIS_Z), state, t).matrix
     target = dephased_oat_density(state.to_density().matrix, n, chi, gamma, t)
     assert np.max(np.abs(rho - target)) < 1e-8
     assert abs(np.trace(rho).real - 1.0) < 1e-12
@@ -191,7 +198,8 @@ def test_lindblad_matches_dephased_closed_form():
 def test_lindblad_matches_expm_of_dense_generator(n, axis, gamma):
     p = CollectiveSpinParams(n)
     ops = build_spin_operators(p)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
+    spec = HamiltonianSpec(chi=1.0, omega=p.spin)
+    h = build_hamiltonian(spec, p)
     nx, ny, nz = axis.unit_vector
     jump = nx * ops.sx + ny * ops.sy + nz * ops.sz
     jump2 = jump @ jump
@@ -203,7 +211,7 @@ def test_lindblad_matches_expm_of_dense_generator(n, axis, gamma):
     state = css(p, math.pi / 2, 0.0)
     t = 0.5 / p.spin
     target = (expm(t * generator) @ state.to_density().matrix.ravel()).reshape(p.dim, p.dim)
-    rho = evolve_lindblad(h, LindbladSpec(gamma=gamma, jump_axis=axis), state, t).matrix
+    rho = evolve_lindblad(spec, LindbladSpec(gamma=gamma, jump_axis=axis), state, t).matrix
     assert np.max(np.abs(rho - target)) < 1e-8
     assert np.array_equal(rho, rho.conj().T)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
@@ -211,10 +219,10 @@ def test_lindblad_matches_expm_of_dense_generator(n, axis, gamma):
 
 def test_lindblad_dephasing_shrinks_coherence_not_populations():
     p = CollectiveSpinParams(12)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=2.0), p)
+    spec = HamiltonianSpec(chi=1.0, omega=2.0)
     state = css(p, math.pi / 2, 0.0)
     rho0 = state.to_density().matrix
-    rho = evolve_lindblad(h, LindbladSpec(gamma=3.0), state, 0.2).matrix
+    rho = evolve_lindblad(spec, LindbladSpec(gamma=3.0), state, 0.2).matrix
     assert abs(np.trace(rho).real - 1.0) < 1e-10
     # strong collective dephasing pushes the state toward the diagonal
     off0 = np.abs(rho0 - np.diag(np.diag(rho0))).sum()
@@ -224,17 +232,17 @@ def test_lindblad_dephasing_shrinks_coherence_not_populations():
 
 def test_lindblad_trace_guard_fires_on_coarse_step():
     p = CollectiveSpinParams(10)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=5.0), p)
+    spec = HamiltonianSpec(chi=1.0, omega=5.0)
     state = css(p, math.pi / 2, 0.0)
     with pytest.raises(RuntimeError, match="smaller dt"):
-        evolve_lindblad(h, LindbladSpec(gamma=0.5), state, t=2.0, dt=0.5)
+        evolve_lindblad(spec, LindbladSpec(gamma=0.5), state, t=2.0, dt=0.5)
 
 
 def test_default_dt_scales_down_with_gamma():
     p = CollectiveSpinParams(10)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=5.0), p)
-    dt0 = default_lindblad_dt(h, LindbladSpec(gamma=0.0), p.spin)
-    dt1 = default_lindblad_dt(h, LindbladSpec(gamma=10.0), p.spin)
+    spec = HamiltonianSpec(chi=1.0, omega=5.0)
+    dt0 = default_lindblad_dt(spec, LindbladSpec(gamma=0.0), p)
+    dt1 = default_lindblad_dt(spec, LindbladSpec(gamma=10.0), p)
     assert 0.0 < dt1 < dt0
 
 

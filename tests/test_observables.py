@@ -23,7 +23,6 @@ from lmgsim import (
     antisqueezing,
     binder_cumulant,
     binder_from_central_moments,
-    build_hamiltonian,
     build_spin_operators,
     css,
     evolve_unitary,
@@ -52,8 +51,8 @@ CHI = 1.0
 
 def _twisted(n, t):
     p = CollectiveSpinParams(n)
-    h = build_hamiltonian(HamiltonianSpec(chi=CHI, kind="OAT"), p)
-    return evolve_unitary(h, css(p, math.pi / 2, 0.0), t)
+    spec = HamiltonianSpec(chi=CHI, kind="OAT")
+    return evolve_unitary(spec, css(p, math.pi / 2, 0.0), t)
 
 
 @pytest.mark.parametrize("t", [0.03, 0.11, 0.25])

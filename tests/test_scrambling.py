@@ -31,9 +31,9 @@ def test_fotoc_at_t_zero_closed_form(n):
     # no dynamics: F(dphi) = |<css| e^{-i dphi Sz} |css>|^2 = cos^{2N}(dphi / 2)
     p = CollectiveSpinParams(n)
     state = css(p, math.pi / 2, 0.0)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
+    spec = HamiltonianSpec(chi=1.0, omega=p.spin)
     dphis = (-0.1, -0.05, -0.01, 0.0, 0.01, 0.05, 0.1)
-    samples = fotoc(h, state, SpinAxis(theta=0.0, phi=0.0), 0.0, dphis)
+    samples = fotoc(spec, state, SpinAxis(theta=0.0, phi=0.0), 0.0, dphis)
     for s in samples:
         assert abs(s.fidelity - math.cos(s.delta_phi / 2.0) ** (2 * n)) < 1e-12
 
@@ -41,11 +41,12 @@ def test_fotoc_at_t_zero_closed_form(n):
 def test_fotoc_matches_expm_oracle_pure():
     n, t = 8, 0.3
     p = CollectiveSpinParams(n)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=0.7 * p.spin), p)
+    spec = HamiltonianSpec(chi=1.0, omega=0.7 * p.spin)
     axis = SpinAxis.in_plane(math.pi / 4)
     gen = spin_component(build_spin_operators(p), axis)
     state = css(p, math.pi / 2, 0.0)
-    samples = fotoc(h, state, axis, t)
+    samples = fotoc(spec, state, axis, t)
+    h = build_hamiltonian(spec, p)
     for s in samples:
         u = expm(1j * h * t) @ expm(-1j * s.delta_phi * gen) @ expm(-1j * h * t)
         want = abs(state.amplitudes.conj() @ (u @ state.amplitudes)) ** 2
@@ -55,12 +56,12 @@ def test_fotoc_matches_expm_oracle_pure():
 @pytest.mark.parametrize("s_chi_t", [0.3, 0.8])
 def test_pure_fotoc_matches_density_echo_at_n200(s_chi_t):
     p = CollectiveSpinParams(200)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
+    spec = HamiltonianSpec(chi=1.0, omega=p.spin)
     axis = SpinAxis.in_plane(math.pi / 4)
     state = css(p, math.pi / 2, 0.0)
     t = s_chi_t / p.spin
-    pure = fotoc(h, state, axis, t)
-    dense = fotoc(h, state.to_density(), axis, t)
+    pure = fotoc(spec, state, axis, t)
+    dense = fotoc(spec, state.to_density(), axis, t)
     assert [s.delta_phi for s in pure] == [s.delta_phi for s in dense]
     assert max(abs(a.fidelity - b.fidelity) for a, b in zip(pure, dense)) < 1e-12
     assert min(s.fidelity for s in pure) < 0.999  # the probe visibly reduces the echo
@@ -69,12 +70,13 @@ def test_pure_fotoc_matches_density_echo_at_n200(s_chi_t):
 def test_fotoc_mixed_state_matches_trace_oracle():
     n, t = 6, 0.25
     p = CollectiveSpinParams(n)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=0.5 * p.spin), p)
+    spec = HamiltonianSpec(chi=1.0, omega=0.5 * p.spin)
     axis = SpinAxis.in_plane(0.6)
     gen = spin_component(build_spin_operators(p), axis)
     rho0 = css(p, math.pi / 2, 0.0).to_density().matrix
     rho = DensityMatrix(dephased_oat_density(rho0, n, 1.0, 0.4, 0.1))
-    samples = fotoc(h, rho, axis, t, delta_phis=(-0.02, -0.01, 0.0, 0.01, 0.02))
+    samples = fotoc(spec, rho, axis, t, delta_phis=(-0.02, -0.01, 0.0, 0.01, 0.02))
+    h = build_hamiltonian(spec, p)
     for s in samples:
         u = expm(1j * h * t) @ expm(-1j * s.delta_phi * gen) @ expm(-1j * h * t)
         want = np.real(np.trace(u @ rho.matrix @ u.conj().T @ rho.matrix))
@@ -116,12 +118,12 @@ def test_curvature_equals_heisenberg_variance(s_chi_t):
     # for pure states the fitted curvature is var(S_alpha(t)) up to O(dphi^2)
     n = 20
     p = CollectiveSpinParams(n)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
+    spec = HamiltonianSpec(chi=1.0, omega=p.spin)
     axis = SpinAxis.in_plane(math.pi / 4)
     state = css(p, math.pi / 2, 0.0)
     t = s_chi_t / p.spin
-    fit = otoc_from_fotoc(fotoc(h, state, axis, t))
-    op_t = heisenberg_operator(h, spin_component(build_spin_operators(p), axis), t)
+    fit = otoc_from_fotoc(fotoc(spec, state, axis, t))
+    op_t = heisenberg_operator(spec, spin_component(build_spin_operators(p), axis), t)
     mean = state.expectation(op_t).real
     var = state.expectation(op_t @ op_t).real - mean * mean
     assert abs(fit.value - var) / var < 0.02
@@ -130,21 +132,21 @@ def test_curvature_equals_heisenberg_variance(s_chi_t):
 def test_trace_form_is_mean_squared_for_pure():
     n, t = 10, 0.2
     p = CollectiveSpinParams(n)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
+    spec = HamiltonianSpec(chi=1.0, omega=p.spin)
     axis = SpinAxis.in_plane(1.0)
     state = css(p, math.pi / 2, 0.0)
-    got = otoc_trace_form(h, state, axis, t)
-    op_t = heisenberg_operator(h, spin_component(build_spin_operators(p), axis), t)
+    got = otoc_trace_form(spec, state, axis, t)
+    op_t = heisenberg_operator(spec, spin_component(build_spin_operators(p), axis), t)
     assert abs(got - state.expectation(op_t).real ** 2) < 1e-9
 
 
 def test_heisenberg_operator_basics():
     p = CollectiveSpinParams(8)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=2.0), p)
+    spec = HamiltonianSpec(chi=1.0, omega=2.0)
     ops = build_spin_operators(p)
-    a0 = heisenberg_operator(h, ops.sy, 0.0)
+    a0 = heisenberg_operator(spec, ops.sy, 0.0)
     assert np.allclose(a0, ops.sy, atol=1e-12)
-    at = heisenberg_operator(h, ops.sy, 0.37)
+    at = heisenberg_operator(spec, ops.sy, 0.37)
     assert np.allclose(at, at.conj().T, atol=1e-12)
     # spectrum is invariant under conjugation
     assert np.allclose(np.linalg.eigvalsh(at), np.linalg.eigvalsh(ops.sy), atol=1e-10)
@@ -153,9 +155,9 @@ def test_heisenberg_operator_basics():
 def test_fotoc_peak_sits_at_zero_probe():
     n = 16
     p = CollectiveSpinParams(n)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
+    spec = HamiltonianSpec(chi=1.0, omega=p.spin)
     state = css(p, math.pi / 2, 0.0)
-    fit = otoc_from_fotoc(fotoc(h, state, SpinAxis.in_plane(math.pi / 4), 0.4 / p.spin))
+    fit = otoc_from_fotoc(fotoc(spec, state, SpinAxis.in_plane(math.pi / 4), 0.4 / p.spin))
     assert fit.value > 0.0
     assert abs(fit.center) < 1e-6
     assert abs(fit.offset - 1.0) < 1e-6

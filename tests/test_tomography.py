@@ -21,7 +21,6 @@ from lmgsim import (
     as_density,
     bootstrap_otoc,
     born_probabilities,
-    build_hamiltonian,
     css,
     evolve_lindblad,
     evolve_unitary,
@@ -44,8 +43,8 @@ from helpers import random_density, random_pure_state
 
 def _lmg_state(n, s_chi_t):
     p = CollectiveSpinParams(n)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
-    return p, evolve_unitary(h, css(p, math.pi / 2, 0.0), s_chi_t / p.spin)
+    spec = HamiltonianSpec(chi=1.0, omega=p.spin)
+    return p, evolve_unitary(spec, css(p, math.pi / 2, 0.0), s_chi_t / p.spin)
 
 
 def test_fibonacci_directions_properties():
@@ -157,8 +156,8 @@ def test_reconstruct_pure_at_n40_from_exact_probabilities():
 def test_reconstruct_mixed_state_converges():
     n = 8
     p = CollectiveSpinParams(n)
-    h = build_hamiltonian(HamiltonianSpec(chi=1.0, omega=p.spin), p)
-    target = evolve_lindblad(h, LindbladSpec(gamma=2.0), css(p, math.pi / 2, 0.0), 0.3 / p.spin)
+    spec = HamiltonianSpec(chi=1.0, omega=p.spin)
+    target = evolve_lindblad(spec, LindbladSpec(gamma=2.0), css(p, math.pi / 2, 0.0), 0.3 / p.spin)
     out = reconstruct(infinite_shot_records(target, fibonacci_directions(15)), p)
     assert out.converged
     assert uhlmann_fidelity(target, out.rho) > 0.9999
@@ -295,9 +294,8 @@ def test_pipeline_infinite_shots_matches_direct_fotoc():
         shots=None,
     )
     result = tomographic_fotoc_pipeline(pipe)
-    h = build_hamiltonian(spec, p)
     direct = otoc_from_fotoc(
-        fotoc(h, css(p, math.pi / 2, 0.0), SpinAxis.in_plane(math.pi / 4), 0.5 / p.spin, dphis)
+        fotoc(spec, css(p, math.pi / 2, 0.0), SpinAxis.in_plane(math.pi / 4), 0.5 / p.spin, dphis)
     )
     assert abs(result.otoc.value - direct.value) / direct.value < 0.01
     for sample, dphi in zip(result.samples, dphis):
