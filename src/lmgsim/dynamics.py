@@ -1,10 +1,10 @@
 """Collective-spin Hamiltonians, stability analysis, and time evolution.
 
 Conventions: H_OAT = chi Sz^2, H_LMG = chi Sz^2 + Omega Sx, H_TAT =
-chi (Sz^2 - Sy^2), all multiplied by time_sign. With chi, Omega > 0 the +x
-coherent state is the hyperbolic fixed point of the LMG flow for
-0 < Omega/(S chi) < 2; time reversal is the global sign flip (chi and Omega
-negated together).
+chi (Sz^2 - Sy^2). With chi, Omega > 0 the +x coherent state is the
+hyperbolic fixed point of the LMG flow for 0 < Omega/(S chi) < 2; time
+reversal is the global sign flip (chi and Omega negated together), which a
+unitary leg runs as t -> -t on the forward eigendecomposition.
 """
 
 from __future__ import annotations
@@ -37,20 +37,17 @@ class HamiltonianSpec:
     chi: float
     omega: float = 0.0
     kind: str = "LMG"
-    time_sign: int = 1
 
     def __post_init__(self):
         if self.kind not in HAMILTONIAN_KINDS:
             raise ValueError(f"kind must be one of {HAMILTONIAN_KINDS}, got {self.kind!r}")
-        if self.time_sign not in (1, -1):
-            raise ValueError(f"time_sign must be +1 or -1, got {self.time_sign!r}")
         if not (math.isfinite(self.chi) and math.isfinite(self.omega)):
             raise ValueError(f"couplings must be finite, got chi={self.chi}, omega={self.omega}")
         if self.kind in ("OAT", "TAT") and self.omega != 0.0:
             raise ValueError(f"{self.kind} takes no transverse field, got omega={self.omega}")
 
     def reversed(self) -> "HamiltonianSpec":
-        return HamiltonianSpec(self.chi, self.omega, self.kind, -self.time_sign)
+        return HamiltonianSpec(-self.chi, -self.omega, self.kind)
 
 
 def build_hamiltonian(spec: HamiltonianSpec, params: CollectiveSpinParams) -> np.ndarray:
@@ -68,7 +65,6 @@ def build_hamiltonian(spec: HamiltonianSpec, params: CollectiveSpinParams) -> np
         h = spec.omega * ops.sx  # all zeros for OAT
     idx = np.arange(params.dim)
     h[idx, idx] += spec.chi * params.m_values() ** 2
-    h *= spec.time_sign
     return h
 
 
@@ -130,8 +126,7 @@ class UnitaryPropagator:
 def propagator_for(spec: HamiltonianSpec, params: CollectiveSpinParams) -> UnitaryPropagator:
     """Eigendecomposition of H, cached on (spec, params).
 
-    The reversed spec is its own entry: its H is -H to the bit, so the
-    backward leg of an echo is diagonalized from exactly that matrix.
+    A unitary backward leg needs no entry of its own: U(-H, t) = U(H, -t).
     """
     return UnitaryPropagator(spec, params)
 

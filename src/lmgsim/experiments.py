@@ -192,6 +192,9 @@ def _validate(cfg: dict) -> None:
         ratios = cfg["ratios"]
         if not isinstance(ratios, (list, tuple)) or not ratios or not all(_is_number(r) for r in ratios):
             raise ConfigError(f"ratios must be a non-empty list of finite numbers, got {ratios!r}")
+        labels = [f"{float(r):g}" for r in ratios]  # the CSV column suffixes
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"ratios must give distinct column labels xi_plus_sq_r<ratio>, got {labels}")
         _require_grid(cfg, "s_chi_t_grid")
     elif task == "binder_vs_time":
         _require_number(cfg, "ratio")

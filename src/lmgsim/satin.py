@@ -62,18 +62,19 @@ class SatinResult:
 def _satin_finals(state: State, config: SatinConfig, delta_phis) -> list[State]:
     """Final states of the protocol for each probe angle; the forward leg runs once."""
     fwd = config.hamiltonian
-    bwd = fwd.reversed()
     axis = SpinAxis.in_plane(config.alpha)
     if config.lindblad is None:
         mid = evolve_unitary(fwd, state, config.t)
-        return [evolve_unitary(bwd, rotate(mid, axis, dphi), config.t) for dphi in delta_phis]
+        return [evolve_unitary(fwd, rotate(mid, axis, dphi), -config.t) for dphi in delta_phis]
+    bwd = fwd.reversed()
     mid = evolve_lindblad(fwd, config.lindblad, state, config.t)
     return [evolve_lindblad(bwd, config.lindblad, rotate(mid, axis, dphi), config.t) for dphi in delta_phis]
 
 
 def run_satin(state: State, config: SatinConfig, delta_phi: float) -> State:
     """Forward evolution for t, rotation by delta_phi about S_alpha, backward
-    evolution under the sign-flipped Hamiltonian for t."""
+    evolution for t under the sign-flipped Hamiltonian: a unitary leg runs the
+    forward propagator to -t, a Lindblad leg integrates -H forward in time."""
     return _satin_finals(state, config, (delta_phi,))[0]
 
 

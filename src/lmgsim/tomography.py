@@ -12,7 +12,6 @@ import numpy as np
 from . import tolerances
 from .dicke import (
     AXIS_Y,
-    AXIS_Z,
     CollectiveSpinParams,
     DensityMatrix,
     PureState,
@@ -72,24 +71,23 @@ class MeasurementRecord:
         return float(np.sum(self.counts))
 
 
-def _measurement_basis(params: CollectiveSpinParams, axis: SpinAxis) -> np.ndarray:
-    """Columns are the n.S eigenstates |m_n>, m = S..-S."""
-    r_y = rotation_matrix(params, AXIS_Y, axis.theta)
-    r_z = rotation_matrix(params, AXIS_Z, axis.phi)
-    return r_z @ r_y
+def born_probabilities(state: State, axes: list[SpinAxis]) -> np.ndarray:
+    """p[r, i] = <m_i| rho |m_i> along each measured direction r, m = S..-S.
 
-
-def born_probabilities(state: State, axis: SpinAxis) -> np.ndarray:
-    """p(m) = <m_n| rho |m_n> along the measured direction."""
+    Entries below tolerances.BORN_FLUSH are set to exactly 0 before each row
+    is renormalised: a seeded multinomial draw consumes a uniform for every
+    nonzero entry, so a tail that rounding could move between 0 and 1e-17
+    would otherwise redraw the whole setting.
+    """
     rho = as_density(state).matrix
-    basis = _measurement_basis(CollectiveSpinParams(rho.shape[0] - 1), axis)
-    p = np.real(np.einsum("ji,jk,ki->i", basis.conj(), rho, basis))
+    ry, _, phase = _basis_tables(CollectiveSpinParams(rho.shape[0] - 1), axes)
+    p = _real_probabilities(rho, ry, phase)
     if np.min(p) < -tolerances.BORN_NEG_TOL:
         raise ValueError(
             f"Born probability {np.min(p):.3e} below -{tolerances.BORN_NEG_TOL:.1e}; state is not physical"
         )
-    p = np.clip(p, 0.0, None)
-    return p / np.sum(p)
+    p[p < tolerances.BORN_FLUSH] = 0.0
+    return p / np.sum(p, axis=1, keepdims=True)
 
 
 def simulate_measurements(
@@ -101,18 +99,17 @@ def simulate_measurements(
     spawned from the master seed, so results do not depend on evaluation order."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(len(settings))
+    probs = born_probabilities(state, [setting.axis for setting in settings])
     records = []
-    for setting, stream in zip(settings, streams):
-        p = born_probabilities(state, setting.axis)
-        rng = np.random.default_rng(stream)
-        counts = rng.multinomial(setting.shots, p).astype(float)
+    for setting, stream, p in zip(settings, streams, probs):
+        counts = np.random.default_rng(stream).multinomial(setting.shots, p).astype(float)
         records.append(MeasurementRecord(axis=setting.axis, counts=counts))
     return records
 
 
 def infinite_shot_records(state: State, axes: list[SpinAxis]) -> list[MeasurementRecord]:
     """Noise-free records carrying the exact Born probabilities as weights."""
-    return [MeasurementRecord(axis=a, counts=born_probabilities(state, a)) for a in axes]
+    return [MeasurementRecord(axis=a, counts=p) for a, p in zip(axes, born_probabilities(state, axes))]
 
 
 def records_to_json_lines(records: list[MeasurementRecord], params: CollectiveSpinParams) -> str:

@@ -1,12 +1,13 @@
 """Independent oracles shared across test modules: closed-form twisting
-moments, the analytically dephased state, and brute-force expm evolution."""
+moments, the analytically dephased state, brute-force expm evolution and the
+dense measurement basis."""
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
 
-from lmgsim import CollectiveSpinParams, DensityMatrix, PureState, as_density
+from lmgsim import AXIS_Y, AXIS_Z, CollectiveSpinParams, DensityMatrix, PureState, as_density, rotation_matrix
 
 
 def oat_closed_form_moments(n_atoms: int, chi: float, t: float) -> dict:
@@ -55,6 +56,12 @@ def brute_force_evolve(hamiltonian: np.ndarray, state, t: float):
         return PureState(u @ state.amplitudes)
     rho = as_density(state).matrix
     return DensityMatrix(u @ rho @ u.conj().T)
+
+
+def measurement_basis(params: CollectiveSpinParams, axis) -> np.ndarray:
+    """Columns are the n.S eigenstates |m_n>, m = S..-S: the dense complex
+    product R_z(phi) R_y(theta), not the package's real per-direction tables."""
+    return rotation_matrix(params, AXIS_Z, axis.phi) @ rotation_matrix(params, AXIS_Y, axis.theta)
 
 
 def random_pure_state(n_atoms: int, rng: np.random.Generator) -> PureState:

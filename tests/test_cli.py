@@ -289,6 +289,9 @@ def test_cli_validate_and_run(tmp_path, capsys):
         {"experiment": "fig4", "delta_phis": [0.001, 0.002, 0.003, 0.004, 0.005]},  # one sign
         {"experiment": "fig4", "delta_phis": [-0.01, -0.01, 0.01, 0.01, 0.01]},  # two distinct values
         {"experiment": "fig5", "s_chi_t_grid": [0.1, 0.5, 0.9]},  # one point in fit_window
+        # ratios whose CSV column labels f"{r:g}" would repeat
+        {"experiment": "fig2c", "ratios": [1.0, 1.0]},
+        {"experiment": "fig2c", "ratios": [1.0000001, 1.0000002]},
     ],
 )
 def test_cli_rejects_probe_out_of_range_before_writing(tmp_path, capsys, raw):

@@ -44,18 +44,30 @@ def test_lmg_hamiltonian_bytes_match_dense_product(n):
     # the in-place assembly must reproduce chi (Sz @ Sz) + Omega Sx bit for bit
     p = CollectiveSpinParams(n)
     ops = build_spin_operators(p)
-    for chi, ratio, time_sign in itertools.product((1.0, 0.3), (0.0, 0.5, 1.0, 3.0), (1, -1)):
-        spec = HamiltonianSpec(chi=chi, omega=ratio * chi * p.spin, time_sign=time_sign)
-        dense = time_sign * (chi * (ops.sz @ ops.sz) + spec.omega * ops.sx)
-        assert build_hamiltonian(spec, p).tobytes() == dense.tobytes(), (chi, ratio, time_sign)
+    # negated couplings (the reversed spec) must give the bytes of sign * H
+    for chi, ratio, sign in itertools.product((1.0, 0.3), (0.0, 0.5, 1.0, 3.0), (1, -1)):
+        omega = ratio * chi * p.spin
+        spec = HamiltonianSpec(chi=sign * chi, omega=sign * omega)
+        dense = sign * (chi * (ops.sz @ ops.sz) + omega * ops.sx)
+        assert build_hamiltonian(spec, p).tobytes() == dense.tobytes(), (chi, ratio, sign)
 
 
 def test_time_sign_flips_hamiltonian():
+    # reversed() negates both couplings, so its H is -1 * H entry by entry;
+    # for OAT and LMG down to the sign of every zero, which keeps the Lindblad
+    # backward leg integrating exactly -1 * H
     p = CollectiveSpinParams(6)
-    spec = HamiltonianSpec(chi=0.7, omega=1.1)
-    assert np.allclose(
-        build_hamiltonian(spec.reversed(), p), -build_hamiltonian(spec, p)
-    )
+    for spec in (
+        HamiltonianSpec(chi=0.7, omega=1.1),
+        HamiltonianSpec(chi=0.7, kind="OAT"),
+        HamiltonianSpec(chi=0.7, kind="TAT"),
+    ):
+        back = spec.reversed()
+        assert (back.chi, back.omega, back.kind) == (-spec.chi, -spec.omega, spec.kind)
+        flipped = -1 * build_hamiltonian(spec, p)
+        assert np.array_equal(build_hamiltonian(back, p), flipped), spec
+        if spec.kind != "TAT":
+            assert build_hamiltonian(back, p).tobytes() == flipped.tobytes(), spec
 
 
 @pytest.mark.parametrize(
@@ -64,7 +76,7 @@ def test_time_sign_flips_hamiltonian():
         {"chi": 1.0, "kind": "XYZ"},
         {"chi": 1.0, "kind": "OAT", "omega": 0.5},
         {"chi": 1.0, "kind": "TAT", "omega": 0.5},
-        {"chi": 1.0, "time_sign": 2},
+        {"chi": 1.0, "omega": math.nan},
         {"chi": math.inf},
     ],
 )
@@ -128,10 +140,11 @@ def test_propagator_group_property_and_cache():
     u = prop.unitary(0.3) @ prop.unitary(0.5)
     assert np.allclose(u, prop.unitary(0.8), atol=1e-10)
     assert np.allclose(prop.unitary(0.3) @ prop.unitary(-0.3), np.eye(p.dim), atol=1e-12)
-    # the reversed spec is its own entry, with the negated spectrum
+    # the reversed spec is its own entry, with the negated spectrum and U(-H, t) = U(H, -t)
     back = propagator_for(spec.reversed(), p)
     assert back is not prop
     assert np.allclose(np.sort(-back.eigvals), prop.eigvals, atol=1e-12)
+    assert np.allclose(back.unitary(0.3), prop.unitary(-0.3), atol=1e-12)
     for k in range(40):
         propagator_for(HamiltonianSpec(chi=1.0, omega=0.1 * k), p)
     assert propagator_for.cache_info().currsize == 32

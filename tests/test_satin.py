@@ -19,6 +19,7 @@ from lmgsim import (
     gain_vs_time_sweep,
     metrological_gain,
     noise_n2,
+    propagator_for,
     rotate,
     run_satin,
     signal_gain,
@@ -40,6 +41,14 @@ def test_zero_probe_echo_is_identity():
     state = css(p, math.pi / 2, 0.0)
     final = run_satin(state, cfg, 0.0)
     assert abs(final.overlap(state)) ** 2 >= 1.0 - 1e-12
+
+
+def test_unitary_protocol_diagonalises_one_hamiltonian():
+    # the backward leg runs the forward propagator to -t, not an eigensolve of -H
+    p, cfg = _config(0.8)
+    propagator_for.cache_clear()
+    metrological_gain(css(p, math.pi / 2, 0.0), cfg)
+    assert propagator_for.cache_info().currsize == 1
 
 
 def test_gain_is_unity_without_dynamics():

@@ -1,6 +1,10 @@
 """Sampling, maximum-likelihood reconstruction, fidelity, pipeline, bootstrap."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from lmgsim import (
     CollectiveSpinParams,
     DensityMatrix,
     FotocPipelineConfig,
+    PureState,
     HamiltonianSpec,
     LindbladSpec,
     MeasurementRecord,
@@ -36,9 +41,10 @@ from lmgsim import (
     tomographic_fotoc_pipeline,
     uhlmann_fidelity,
 )
+import lmgsim
 from lmgsim import tomography
-from lmgsim.tomography import _basis_tables, _measurement_basis, _real_probabilities, _real_r_operator
-from helpers import random_density, random_pure_state
+from lmgsim.tomography import _basis_tables, _real_probabilities, _real_r_operator
+from helpers import measurement_basis, random_density, random_pure_state
 
 
 def _lmg_state(n, s_chi_t):
@@ -65,9 +71,9 @@ def test_born_probabilities_known_cases():
     n = 12
     p = CollectiveSpinParams(n)
     state = css(p, math.pi / 2, 0.0)
-    along_x = born_probabilities(state, SpinAxis(theta=math.pi / 2, phi=0.0))
+    along_x = born_probabilities(state, [SpinAxis(theta=math.pi / 2, phi=0.0)])[0]
     assert abs(along_x[0] - 1.0) < 1e-12  # first slot is m = +S along the axis
-    along_z = born_probabilities(state, AXIS_Z)
+    along_z = born_probabilities(state, [AXIS_Z])[0]
     binom = np.array([math.comb(n, k) for k in range(n, -1, -1)], dtype=float) / 2.0**n
     assert np.max(np.abs(along_z - binom)) < 1e-12
     assert abs(np.sum(along_z) - 1.0) < 1e-14
@@ -90,9 +96,56 @@ def test_sampler_statistics_match_born_rule():
     shots = 100_000
     rec = simulate_measurements(state, [MeasurementSetting(axis=axis, shots=shots)], seed=17)[0]
     freq = rec.counts / shots
-    prob = born_probabilities(state, axis)
+    prob = born_probabilities(state, [axis])[0]
     sigma = np.sqrt(np.clip(prob * (1.0 - prob), 1e-12, None) / shots)
     assert np.max(np.abs(freq - prob) / (sigma + 1e-12)) < 5.0
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_sampled_counts_ignore_ulp_perturbations_of_the_target(n):
+    # criterion 10's target and seed: a few ulps on the amplitudes must not
+    # redraw any setting, since they move no Born probability across the flush
+    p, target = _lmg_state(n, 0.57)
+    settings = [MeasurementSetting(axis=a, shots=30) for a in fibonacci_directions(41)]
+    reference = simulate_measurements(target, settings, seed=12345)
+    rng = np.random.default_rng(n)
+    amps = target.amplitudes
+    for _ in range(3):
+        re, im = (x + rng.integers(-4, 5, size=x.shape) * np.spacing(x) for x in (amps.real, amps.imag))
+        nudged = simulate_measurements(PureState(re + 1j * im), settings, seed=12345)
+        assert all(np.array_equal(a.counts, b.counts) for a, b in zip(reference, nudged))
+
+
+# Samples fig4's seven final states at N = 200 and prints their records.
+_FIG4_RECORDS = """
+import math, sys
+import numpy as np
+from lmgsim import (CollectiveSpinParams, HamiltonianSpec, MeasurementSetting, SatinConfig, css,
+                    expand_config, fibonacci_directions, records_to_json_lines, run_satin,
+                    simulate_measurements)
+cfg = expand_config({"experiment": "fig4", "n_atoms": 200})
+p = CollectiveSpinParams(cfg["n_atoms"])
+scale = p.spin * cfg["chi"]
+spec = HamiltonianSpec(chi=cfg["chi"], omega=cfg["ratio"] * scale)
+satin = SatinConfig(hamiltonian=spec, t=cfg["s_chi_t"] / scale, alpha=cfg["alpha"])
+settings = [MeasurementSetting(axis=a, shots=cfg["shots"]) for a in fibonacci_directions(cfg["n_directions"])]
+streams = np.random.SeedSequence(cfg["seed"]).spawn(len(cfg["delta_phis"]))
+for dphi, stream in zip(cfg["delta_phis"], streams):
+    final = run_satin(css(p, math.pi / 2, 0.0), satin, dphi)
+    sys.stdout.write(records_to_json_lines(simulate_measurements(final, settings, seed=stream), p))
+"""
+
+
+def test_fig4_records_at_n200_do_not_depend_on_blas_threads():
+    # threadpoolctl is not a dependency: set the OpenBLAS pool size per process
+    src = str(Path(lmgsim.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _FIG4_RECORDS], env=env, capture_output=True, check=True)
+        out.append(run.stdout)
+    assert out[0].count(b"\n") == 7 * 41
+    assert out[0] == out[1]
 
 
 def test_records_json_round_trip():
@@ -127,9 +180,13 @@ def test_real_probability_kernel_matches_born_probabilities(n):
     assert any(a.phi != 0.0 for a in axes)
     ry, _, phase = _basis_tables(p, axes)
     for state in (random_density(n, rng, rank=n + 1), pure):
-        probs = _real_probabilities(as_density(state).matrix, ry, phase)
-        for a, row in zip(axes, probs):
-            assert np.max(np.abs(row - born_probabilities(state, a))) < 1e-12
+        rho = as_density(state).matrix
+        dense = np.stack([
+            np.real(np.einsum("ji,jk,ki->i", b.conj(), rho, b))
+            for b in (measurement_basis(p, a) for a in axes)
+        ])
+        assert np.max(np.abs(_real_probabilities(rho, ry, phase) - dense)) < 1e-12
+        assert np.max(np.abs(born_probabilities(state, axes) - dense)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [6, 40, 200])
@@ -139,7 +196,7 @@ def test_real_r_operator_matches_dense_sum(n):
     weights = np.random.default_rng(n).random((len(axes), p.dim))
     dense = np.zeros((p.dim, p.dim), dtype=complex)
     for a, w in zip(axes, weights):
-        b = _measurement_basis(p, a)
+        b = measurement_basis(p, a)
         dense += (b * w) @ b.conj().T
     r_op = _real_r_operator(weights, *_basis_tables(p, axes))
     assert np.max(np.abs(r_op - dense)) < 1e-12 * np.max(np.abs(dense))
@@ -181,7 +238,7 @@ def test_reconstruct_respects_iteration_budget():
 
 def _dense_log_likelihood(recs, rho, prob_floor=ReconstructionConfig().prob_floor):
     return sum(
-        float(np.sum(rec.counts * np.log(np.maximum(born_probabilities(rho, rec.axis), prob_floor))))
+        float(np.sum(rec.counts * np.log(np.maximum(born_probabilities(rho, [rec.axis])[0], prob_floor))))
         for rec in recs
     )
 
@@ -241,7 +298,7 @@ def test_reported_gap_matches_dense_r_operator(n, max_iterations):
     rho = out.rho.matrix
     dense = np.zeros((p.dim, p.dim), dtype=complex)
     for rec in recs:
-        b = _measurement_basis(p, rec.axis)
+        b = measurement_basis(p, rec.axis)
         probs = np.real(np.einsum("ji,jk,ki->i", b.conj(), rho, b))
         dense += (b * (rec.counts / total / probs)) @ b.conj().T
     lam = np.linalg.eigvalsh(dense)[-1]
