@@ -1,12 +1,9 @@
 """Exact collective-spin simulation on the Dicke ladder: twisting dynamics,
 scrambling diagnostics, time-reversal amplification, and tomography."""
 
-from importlib.metadata import PackageNotFoundError, version as _dist_version
-
-try:
-    __version__ = _dist_version("lmgsim")
-except PackageNotFoundError:
-    __version__ = "0.0.0+local"
+# The single source of the version: pyproject.toml reads it from here, so an
+# installed package and a source tree hash their manifests alike.
+__version__ = "0.1.0"
 
 from .dicke import (
     AXIS_X,
@@ -62,9 +59,7 @@ from .scrambling import (
 from .satin import (
     SatinConfig,
     SatinResult,
-    gain_vs_time_sweep,
     metrological_gain,
-    noise_n2,
     run_satin,
     signal_gain,
 )
@@ -73,7 +68,6 @@ from .tomography import (
     FotocPipelineConfig,
     MeasurementRecord,
     MeasurementSetting,
-    ReconstructionConfig,
     ReconstructionResult,
     TomographicFotoc,
     bootstrap_otoc,

@@ -236,6 +236,8 @@ def state_from_json(text: str) -> State:
         arr = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"N must be a positive integer, got {n!r}")
     if kind == "pure":
         if arr.size != n + 1:
             raise ValueError(f"pure state for N={n} needs {n + 1} amplitudes, got {arr.size}")

@@ -4,7 +4,9 @@ Conventions: H_OAT = chi Sz^2, H_LMG = chi Sz^2 + Omega Sx, H_TAT =
 chi (Sz^2 - Sy^2). With chi, Omega > 0 the +x coherent state is the
 hyperbolic fixed point of the LMG flow for 0 < Omega/(S chi) < 2; time
 reversal is the global sign flip (chi and Omega negated together), which a
-unitary leg runs as t -> -t on the forward eigendecomposition.
+unitary leg runs as t -> -t on the forward eigendecomposition. The one
+noise channel is collective Sz dephasing, integrated in the Dicke basis,
+where Sz is diagonal.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .dicke import (
     CollectiveSpinParams,
     DensityMatrix,
     PureState,
-    SpinAxis,
     State,
-    _axis_eigensystem,
     as_density,
     build_spin_operators,
 )
@@ -138,10 +138,9 @@ def evolve_unitary(spec: HamiltonianSpec, state: State, t: float) -> State:
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Single collective jump operator n.S at rate gamma >= 0."""
+    """Collective dephasing: the single jump operator Sz at rate gamma >= 0."""
 
     gamma: float
-    jump_axis: SpinAxis = SpinAxis(theta=0.0, phi=0.0)
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -154,23 +153,17 @@ def default_lindblad_dt(spec: HamiltonianSpec, lindblad: LindbladSpec, params: C
     return 0.01 / (hnorm + lindblad.gamma * params.spin**2)
 
 
-def evolve_lindblad(
-    spec: HamiltonianSpec,
-    lindblad: LindbladSpec,
-    state: State,
-    t: float,
-    dt: float | None = None,
-) -> DensityMatrix:
-    """Integrate rho' = -i[H, rho] + gamma (L rho L - 1/2 {L^2, rho}), L = n.S.
+def evolve_lindblad(spec: HamiltonianSpec, lindblad: LindbladSpec, state: State, t: float) -> DensityMatrix:
+    """Integrate rho' = -i[H, rho] + gamma (Sz rho Sz - 1/2 {Sz^2, rho}).
 
-    Classical RK4 with a fixed step, run in the eigenbasis of L, where the
-    dissipator is the elementwise product -gamma/2 (w_i - w_j)^2 r_ij and,
-    r being Hermitian, -i[H, r] = X + X^dag with X = -iH r: one matmul per
-    stage, and every stage Hermitian by construction. The generator is
-    trace-free, so trace is conserved to roundoff; drift beyond
-    tolerances.TRACE_DRIFT_MAX means the step is too large for this H and
-    gamma, and the integrator aborts rather than renormalize its way past
-    the instability.
+    Classical RK4 with the fixed step `default_lindblad_dt`, in the Dicke
+    basis. Sz is diagonal there, so the dissipator is the elementwise product
+    -gamma/2 (m_i - m_j)^2 r_ij and, r being Hermitian, -i[H, r] = X + X^dag
+    with X = -iH r: one matmul per stage, and every stage Hermitian by
+    construction. The generator is trace-free, so trace is conserved to
+    roundoff; drift beyond tolerances.TRACE_DRIFT_MAX means the step is too
+    large for this H and gamma, and the integrator aborts rather than
+    renormalize its way past the instability.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -178,23 +171,16 @@ def evolve_lindblad(
     if t == 0.0:
         return DensityMatrix(rho.copy())
     params = state.params
-    if dt is None:
-        dt = default_lindblad_dt(spec, lindblad, params)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = max(1, math.ceil(t / dt))
+    n_steps = max(1, math.ceil(t / default_lindblad_dt(spec, lindblad, params)))
     dt = t / n_steps
 
-    w, v = _axis_eigensystem(params, lindblad.jump_axis)
-    vh = v.conj().T
-    h = vh @ build_hamiltonian(spec, params) @ v
-    h = 0.5 * (h + h.conj().T)
-    decay = -0.5 * lindblad.gamma * np.subtract.outer(w, w) ** 2
+    h = build_hamiltonian(spec, params)
+    m = params.m_values()
+    decay = -0.5 * lindblad.gamma * np.subtract.outer(m, m) ** 2
     # RK4 on a linear generator G is the Taylor map sum_k (dt G)^k / k!, k <= 4;
     # term k is (dt / k) G applied to term k - 1
     stages = [(-1j * c * h, c * decay) for c in (dt, dt / 2, dt / 3, dt / 4)]
-    r = vh @ rho @ v
-    r = 0.5 * (r + r.conj().T)
+    r = 0.5 * (rho + rho.conj().T)
     for step in range(n_steps):
         term = r
         for gen, damp in stages:
@@ -205,7 +191,6 @@ def evolve_lindblad(
         if not np.isfinite(drift) or drift > tolerances.TRACE_DRIFT_MAX:
             raise RuntimeError(
                 f"trace drifted by {drift:.3e} at step {step + 1}/{n_steps}; "
-                f"the RK4 step dt={dt:.3e} is too large for this H and gamma, pass a smaller dt"
+                f"the RK4 step dt={dt:.3e} is too large for this H and gamma"
             )
-    rho = v @ r @ vh
-    return DensityMatrix(0.5 * (rho + rho.conj().T))
+    return DensityMatrix(0.5 * (r + r.conj().T))

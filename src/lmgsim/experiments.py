@@ -17,9 +17,11 @@ from . import __version__
 from .dicke import CollectiveSpinParams, SpinAxis, css
 from .dynamics import HamiltonianSpec, LindbladSpec, evolve_unitary
 from .observables import antisqueezing, binder_cumulant, wigner
-from .satin import SatinConfig, gain_vs_time_sweep, signal_gain
+from .satin import SatinConfig, metrological_gain, signal_gain
 from .scrambling import DEFAULT_DELTA_PHI_GRID, check_probe_grid, fotoc, otoc_from_fotoc
 from .tomography import (
+    DEFAULT_N_DIRECTIONS,
+    DEFAULT_SHOTS,
     FotocPipelineConfig,
     bootstrap_otoc,
     records_to_json_lines,
@@ -73,8 +75,8 @@ TASK_DEFAULTS = {
         "alpha": math.pi / 4,
         "s_chi_t": 0.57,
         "delta_phis": list(DEFAULT_DELTA_PHI_GRID),
-        "n_directions": 41,
-        "shots": 30,
+        "n_directions": DEFAULT_N_DIRECTIONS,
+        "shots": DEFAULT_SHOTS,
         "n_boot": 0,
         "wigner_n_theta": 61,
         "wigner_n_phi": 121,
@@ -344,17 +346,25 @@ def _run_binder_vs_time(cfg, workers):
 
 def _run_gain_vs_time(cfg, workers):
     params = CollectiveSpinParams(cfg["n_atoms"])
+    scale = params.spin * cfg["chi"]
+    state0 = css(params, math.pi / 2, 0.0)
+    spec = _spec_for(cfg, cfg["ratio"])
     lindblad = LindbladSpec(gamma=cfg["gamma"]) if cfg["gamma"] > 0 else None
-    satin = SatinConfig(
-        hamiltonian=_spec_for(cfg, cfg["ratio"]),
-        t=1.0,  # replaced per grid point
-        alpha=cfg["alpha"],
-        delta_phi_probe=cfg["delta_phi_probe"],
-        lindblad=lindblad,
-        detection_noise_var=cfg["detection_noise_var"],
-    )
-    results = gain_vs_time_sweep(params, satin, cfg["s_chi_t_grid"], workers=workers)
-    rows = [(r.s_chi_t, r.g_sq, r.n_sq, r.gain_db, r.readout_alpha) for r in results]
+
+    def point(st):
+        satin = SatinConfig(
+            hamiltonian=spec,
+            t=st / scale,
+            alpha=cfg["alpha"],
+            delta_phi_probe=cfg["delta_phi_probe"],
+            lindblad=lindblad,
+            detection_noise_var=cfg["detection_noise_var"],
+        )
+        r = metrological_gain(state0, satin)
+        # column 1 keeps the protocol's (st / scale) * scale, which may differ from st in the last bit
+        return (r.s_chi_t, r.g_sq, r.n_sq, r.gain_db, r.readout_alpha)
+
+    rows = _map_grid(point, cfg["s_chi_t_grid"], workers)
     return [("gain_vs_time.csv", ["s_chi_t", "g_sq", "n_sq", "gain_db", "readout_alpha"], rows)]
 
 

@@ -9,8 +9,7 @@ metrological gain over the standard quantum limit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .dicke import (
     SpinAxis,
     State,
     build_spin_operators,
-    css,
     rotate,
     spin_component,
 )
@@ -31,13 +29,15 @@ READOUT_SCAN_POINTS = 64
 
 @dataclass(frozen=True)
 class SatinConfig:
-    """Protocol parameters: H spec, duration, probe axis/size, readout."""
+    """Protocol parameters: H spec, duration, probe axis and size, noise.
+
+    The readout is always along the axis of maximal response (`_response_scan`).
+    """
 
     hamiltonian: HamiltonianSpec
     t: float
     alpha: float = math.pi / 4
     delta_phi_probe: float = 0.005
-    readout_alpha: float | None = None  # None: scan for the maximal-response axis
     lindblad: LindbladSpec | None = None
     detection_noise_var: float = 0.0  # optional additive constant on N^2, SQL units
 
@@ -111,12 +111,7 @@ def _signal_and_axis(plus: State, minus: State, config: SatinConfig) -> tuple[fl
     dphi = config.delta_phi_probe
     yp, zp = _yz_means(plus, ops)
     ym, zm = _yz_means(minus, ops)
-    dy, dz = (yp - ym) / (2.0 * dphi), (zp - zm) / (2.0 * dphi)
-    if config.readout_alpha is not None:
-        beta = config.readout_alpha
-        response = math.cos(beta) * dy + math.sin(beta) * dz
-    else:
-        beta, response = _response_scan(dy, dz)
+    beta, response = _response_scan((yp - ym) / (2.0 * dphi), (zp - zm) / (2.0 * dphi))
     ref = _css_reference_response(params, config, beta)
     if abs(ref) < 1e-12 * params.spin:
         raise ValueError(
@@ -147,15 +142,6 @@ def signal_gain(state: State, config: SatinConfig) -> float:
     return _signal_and_axis(*_satin_finals(state, config, (dphi, -dphi)), config)[0]
 
 
-def noise_n2(state: State, config: SatinConfig, readout_alpha: float | None = None) -> float:
-    """Readout variance after the zero-probe protocol, normalized to S/2."""
-    if readout_alpha is None:
-        readout_alpha = config.readout_alpha
-    if readout_alpha is None:
-        return metrological_gain(state, config).n_sq
-    return _readout_noise(run_satin(state, config, 0.0), config, readout_alpha)
-
-
 def metrological_gain(state: State, config: SatinConfig) -> SatinResult:
     """Run the full protocol once and report G^2, N^2, and the dB gain.
 
@@ -174,28 +160,3 @@ def metrological_gain(state: State, config: SatinConfig) -> SatinResult:
         gain_db=float(10.0 * math.log10(g * g / n2)),
         readout_alpha=float(beta),
     )
-
-
-def gain_vs_time_sweep(
-    params: CollectiveSpinParams,
-    config: SatinConfig,
-    s_chi_ts,
-    workers: int = 1,
-) -> list[SatinResult]:
-    """Metrological gain over a grid of dimensionless times S chi t.
-
-    The initial state is the +x CSS; grid points are independent and may be
-    dispatched to a thread pool, results returned in grid order.
-    """
-    state = css(params, math.pi / 2, 0.0)
-    scale = abs(config.hamiltonian.chi) * params.spin
-
-    def point(s_chi_t: float) -> SatinResult:
-        cfg = replace(config, t=s_chi_t / scale)
-        return metrological_gain(state, cfg)
-
-    times = [float(v) for v in s_chi_ts]
-    if workers <= 1:
-        return [point(v) for v in times]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, times))

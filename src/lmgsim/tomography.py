@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,12 @@ DEFAULT_SHOTS = 30
 # Certified stop of `reconstruct`: the likelihood still to gain is at most
 # GAP_TOL per unit of recorded weight.
 GAP_TOL = 1e-6
+# Stall guards for records the certified stop cannot close (exact
+# probabilities of a mixed state): an iteration cap, a floor on the
+# log-likelihood gain, and a floor on the probabilities the likelihood reads.
+MAX_ITERATIONS = 2000
+STALL_TOL = 1e-10
+PROB_FLOOR = 1e-12
 
 
 def fibonacci_directions(n: int) -> list[SpinAxis]:
@@ -122,27 +128,30 @@ def records_to_json_lines(records: list[MeasurementRecord], params: CollectiveSp
 
 
 def records_from_json_lines(text: str, params: CollectiveSpinParams) -> list[MeasurementRecord]:
+    """Parse the lines `records_to_json_lines` writes; any malformed line raises ValueError."""
     m = params.m_values()
     index = {f"{mv:g}": i for i, mv in enumerate(m)}
     records = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        doc = json.loads(line)
+        try:
+            doc = json.loads(line)
+            axis = SpinAxis(float(doc["theta"]), float(doc["phi"]))
+            items = list(doc["counts"].items())
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"malformed record on line {lineno}: {exc!r}") from exc
+        if not (math.isfinite(axis.theta) and math.isfinite(axis.phi)):
+            raise ValueError(f"record on line {lineno} has a non-finite direction ({axis.theta}, {axis.phi})")
         counts = np.zeros(params.dim)
-        for key, val in doc["counts"].items():
+        for key, val in items:
             if key not in index:
                 raise ValueError(f"outcome {key!r} is not an Sz eigenvalue for N={params.n_atoms}")
+            if not isinstance(val, (int, float)) or isinstance(val, bool) or not 0.0 <= val < math.inf:
+                raise ValueError(f"count for outcome {key} on line {lineno} must be finite and >= 0, got {val!r}")
             counts[index[key]] = float(val)
-        records.append(MeasurementRecord(axis=SpinAxis(float(doc["theta"]), float(doc["phi"])), counts=counts))
+        records.append(MeasurementRecord(axis=axis, counts=counts))
     return records
-
-
-@dataclass(frozen=True)
-class ReconstructionConfig:
-    max_iterations: int = 2000
-    tol: float = 1e-10  # stall guard: stop once the log-likelihood gain falls below this
-    prob_floor: float = 1e-12
 
 
 @dataclass
@@ -180,11 +189,7 @@ def _real_r_operator(weights: np.ndarray, ry: np.ndarray, ry_t: np.ndarray, phas
     return np.einsum("rk,rk->k", real_part, phase.reshape(n_rec, d * d)).reshape(d, d).conj()
 
 
-def reconstruct(
-    records: list[MeasurementRecord],
-    params: CollectiveSpinParams,
-    config: ReconstructionConfig = ReconstructionConfig(),
-) -> ReconstructionResult:
+def reconstruct(records: list[MeasurementRecord], params: CollectiveSpinParams) -> ReconstructionResult:
     """Iterative maximum-likelihood reconstruction (R rho R fixed point).
 
     The log-likelihood is guaranteed nondecreasing: whenever a full step would
@@ -199,7 +204,7 @@ def reconstruct(
     while v^H R v - 1 > GAP_TOL for the top eigenvector v of the last
     eigensolve: that Rayleigh quotient is at most lambda_max(R), so the bound
     would fail too. Neither skip moves the iteration that stops (up to
-    rounding). The gain rule `tol`, the dilution plateau and `max_iterations`
+    rounding). The gain rule STALL_TOL, the dilution plateau and MAX_ITERATIONS
     remain as stall guards: on exact probabilities of a mixed state the bound
     can stay large.
     """
@@ -217,7 +222,7 @@ def reconstruct(
     freqs = counts / total
 
     def log_likelihood(p: np.ndarray) -> float:
-        return float(np.sum(counts * np.log(np.maximum(p, config.prob_floor))))
+        return float(np.sum(counts * np.log(np.maximum(p, PROB_FLOOR))))
 
     rho = np.eye(d, dtype=complex) / d
     p = _real_probabilities(rho, ry, phase)
@@ -230,9 +235,9 @@ def reconstruct(
     top = None  # top eigenvector of R at the last eigensolve
 
     def r_operator(p: np.ndarray) -> np.ndarray:
-        return _real_r_operator(freqs / np.maximum(p, config.prob_floor), ry, ry_t, phase)
+        return _real_r_operator(freqs / np.maximum(p, PROB_FLOOR), ry, ry_t, phase)
 
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         r_op = r_operator(p)
         if gain <= GAP_TOL * total:
             if top is not None:
@@ -272,7 +277,7 @@ def reconstruct(
         gain = ll_new - ll
         rho, p, ll = candidate, p_new, ll_new
         history.append(ll)
-        if gain < config.tol:
+        if gain < STALL_TOL:
             converged = True
             break
     if gap is None:
@@ -315,7 +320,6 @@ class FotocPipelineConfig:
     n_directions: int = DEFAULT_N_DIRECTIONS
     shots: int | None = DEFAULT_SHOTS
     seed: int = 0
-    reconstruction: ReconstructionConfig = field(default_factory=ReconstructionConfig)
 
 
 @dataclass
@@ -341,7 +345,7 @@ def tomographic_fotoc_pipeline(config: FotocPipelineConfig) -> TomographicFotoc:
         else:
             settings = [MeasurementSetting(axis=a, shots=config.shots) for a in axes]
             records = simulate_measurements(final, settings, seed=stream)
-        recon = reconstruct(records, params, config.reconstruction)
+        recon = reconstruct(records, params)
         fid = float(np.real(reference.expectation(recon.rho.matrix)))
         samples.append(FotocSample(delta_phi=float(dphi), fidelity=fid))
         all_records.append(records)
@@ -368,7 +372,6 @@ def bootstrap_otoc(
     reference: PureState,
     n_boot: int = 100,
     seed: int = 0,
-    reconstruction: ReconstructionConfig = ReconstructionConfig(),
 ) -> BootstrapOtoc:
     """Percentile bootstrap (68% interval) of the fitted curvature.
 
@@ -382,7 +385,7 @@ def bootstrap_otoc(
     def fit_from(recs_by_dphi) -> float:
         samples = []
         for dphi, recs in recs_by_dphi:
-            recon = reconstruct(recs, params, reconstruction)
+            recon = reconstruct(recs, params)
             fid = float(np.real(reference.expectation(recon.rho.matrix)))
             samples.append(FotocSample(delta_phi=dphi, fidelity=fid))
         return otoc_from_fotoc(samples).value

@@ -19,7 +19,6 @@ from lmgsim import (
     HamiltonianSpec,
     LindbladSpec,
     MeasurementSetting,
-    ReconstructionConfig,
     SatinConfig,
     SpinAxis,
     antisqueezing,
@@ -242,7 +241,7 @@ def test_criterion_10_tomography_fidelity(acceptance):
     target = evolve_unitary(spec, css(params, math.pi / 2, 0.0), 0.57 / scale)
     settings = [MeasurementSetting(axis=a, shots=30) for a in fibonacci_directions(41)]
     records = simulate_measurements(target, settings, seed=12345)
-    result = reconstruct(records, params, ReconstructionConfig())
+    result = reconstruct(records, params)
     fid = uhlmann_fidelity(target, result.rho)
     lls = np.asarray(result.log_likelihoods)
     monotone = bool(np.all(np.diff(lls) >= -1e-9 * np.abs(lls[:-1])))

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lmgsim
 from lmgsim import (
     ALIASES,
     ConfigError,
@@ -143,6 +148,21 @@ def test_run_experiment_byte_identical_across_workers(tmp_path):
     a = (tmp_path / "w1" / "gain_vs_time.csv").read_bytes()
     b = (tmp_path / "w4" / "gain_vs_time.csv").read_bytes()
     assert a == b
+    rows = a.decode().strip().splitlines()[2:]
+    assert [float(row.split(",")[0]) for row in rows] == cfg["s_chi_t_grid"]
+
+
+def test_version_does_not_depend_on_install_state(tmp_path):
+    # distribution metadata on the path must not change the version the manifest hashes
+    dist = tmp_path / "lmgsim-9.9.9.dist-info"
+    dist.mkdir()
+    (dist / "METADATA").write_text("Metadata-Version: 2.1\nName: lmgsim\nVersion: 9.9.9\n")
+    src = Path(lmgsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+    run = subprocess.run([sys.executable, "-c", "import lmgsim; print(lmgsim.__version__)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == lmgsim.__version__
+    assert lmgsim.__version__ != "0.0.0+local"
 
 
 def test_run_experiment_rerun_is_byte_identical(tmp_path):

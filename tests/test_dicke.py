@@ -187,3 +187,17 @@ def test_state_json_rejects_malformed():
         state_from_json('{"N": 2, "kind": "wat", "re": [1, 0, 0], "im": [0, 0, 0]}')
     with pytest.raises(ValueError):
         state_from_json('{"kind": "pure"}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"N": "3", "kind": "density", "re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}',
+        '{"N": 1.0, "kind": "pure", "re": [1, 0], "im": [0, 0]}',
+        '{"N": true, "kind": "pure", "re": [1, 0], "im": [0, 0]}',
+        '{"N": null, "kind": "pure", "re": [1, 0], "im": [0, 0]}',
+    ],
+)
+def test_state_json_rejects_bad_input_with_value_error(text):
+    with pytest.raises(ValueError):
+        state_from_json(text)

@@ -20,7 +20,6 @@ from lmgsim import (
     LindbladSpec,
     MeasurementRecord,
     MeasurementSetting,
-    ReconstructionConfig,
     SatinConfig,
     SpinAxis,
     as_density,
@@ -163,6 +162,26 @@ def test_records_json_round_trip():
         records_from_json_lines('{"theta": 0.1, "phi": 0.0, "counts": {"7.5": 3}}', p)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"theta": 0.1, "phi": 0.0}',
+        "[1]",
+        '{"theta": 0.1, "phi": 0.0, "counts": {"1": -3}}',
+        '{"theta": 0.1, "phi": 0.0, "counts": {"1": NaN}}',
+        '{"theta": 0.1, "phi": 0.0, "counts": {"1": Infinity}}',
+        '{"theta": 0.1, "phi": 0.0, "counts": {"1": true}}',
+        '{"theta": 0.1, "phi": 0.0, "counts": {"1": "3"}}',
+        '{"theta": 0.1, "phi": 0.0, "counts": [3]}',
+        '{"theta": null, "phi": 0.0, "counts": {"1": 3}}',
+        '{"theta": NaN, "phi": 0.0, "counts": {"1": 3}}',
+    ],
+)
+def test_records_json_rejects_bad_input_with_value_error(line):
+    with pytest.raises(ValueError):
+        records_from_json_lines(line, CollectiveSpinParams(4))
+
+
 def test_reconstruct_pure_from_exact_probabilities():
     p, state = _lmg_state(8, 0.57)
     recs = infinite_shot_records(state, fibonacci_directions(15))
@@ -228,17 +247,18 @@ def test_reconstruct_finite_shots():
     assert uhlmann_fidelity(state, out.rho) > 0.98
 
 
-def test_reconstruct_respects_iteration_budget():
+def test_reconstruct_respects_iteration_budget(monkeypatch):
     p, state = _lmg_state(6, 0.4)
     recs = infinite_shot_records(state, fibonacci_directions(10))
-    out = reconstruct(recs, p, ReconstructionConfig(max_iterations=7))
+    monkeypatch.setattr(tomography, "MAX_ITERATIONS", 7)
+    out = reconstruct(recs, p)
     assert out.iterations <= 7
     assert not out.converged or out.iterations < 7
 
 
-def _dense_log_likelihood(recs, rho, prob_floor=ReconstructionConfig().prob_floor):
+def _dense_log_likelihood(recs, rho):
     return sum(
-        float(np.sum(rec.counts * np.log(np.maximum(born_probabilities(rho, [rec.axis])[0], prob_floor))))
+        float(np.sum(rec.counts * np.log(np.maximum(born_probabilities(rho, [rec.axis])[0], tomography.PROB_FLOOR))))
         for rec in recs
     )
 
@@ -256,7 +276,8 @@ def test_certified_stop_bounds_the_likelihood_still_to_gain(n, monkeypatch):
     out = reconstruct(recs, p)
     with monkeypatch.context() as m:
         m.setattr(tomography, "GAP_TOL", 1e-12)
-        long = reconstruct(recs, p, ReconstructionConfig(max_iterations=20000))
+        m.setattr(tomography, "MAX_ITERATIONS", 20000)
+        long = reconstruct(recs, p)
     assert out.converged and out.iterations < long.iterations
     assert 0.0 <= out.gap <= tomography.GAP_TOL * total
     still_to_gain = _dense_log_likelihood(recs, long.rho) - _dense_log_likelihood(recs, out.rho)
@@ -291,9 +312,10 @@ def test_certified_stop_fires_at_first_certified_iteration(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [6, 40])
 @pytest.mark.parametrize("max_iterations", [7, 2000])
-def test_reported_gap_matches_dense_r_operator(n, max_iterations):
+def test_reported_gap_matches_dense_r_operator(n, max_iterations, monkeypatch):
     p, recs = _finite_shot_records(n, seed=11)
-    out = reconstruct(recs, p, ReconstructionConfig(max_iterations=max_iterations))
+    monkeypatch.setattr(tomography, "MAX_ITERATIONS", max_iterations)
+    out = reconstruct(recs, p)
     total = sum(rec.total for rec in recs)
     rho = out.rho.matrix
     dense = np.zeros((p.dim, p.dim), dtype=complex)
