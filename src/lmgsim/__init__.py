@@ -12,11 +12,14 @@ from .dicke import (
     CollectiveSpinParams,
     DensityMatrix,
     PureState,
+    SX,
+    SY,
+    SZ,
     SpinAxis,
-    SpinOperators,
+    apply_spin,
     as_density,
-    build_spin_operators,
     css,
+    ladder,
     rotate,
     rotation_matrix,
     spin_component,
@@ -46,6 +49,7 @@ from .observables import (
     spin_moments,
     wigner,
     wigner_points,
+    yz_moments,
 )
 from .scrambling import (
     DEFAULT_DELTA_PHI_GRID,

@@ -1,12 +1,15 @@
-"""Symmetric collective-spin (Dicke) basis: operators, states, rotations, I/O.
+"""Symmetric collective-spin (Dicke) basis: the S+ ladder, states, rotations, I/O.
 
 Everything acts on the maximal-spin subspace of N spin-1/2 particles, dimension
-N + 1, basis ordered |S, S>, |S, S-1>, ..., |S, -S>.
+N + 1, basis ordered |S, S>, |S, S-1>, ..., |S, -S>. The one band of S+
+(`ladder`) is the only operator representation: n.S acts on vectors and
+matrix columns in O(d) each (`apply_spin`), and the dense n.S
+(`spin_component`) is formed only for an eigensolve. A rotation is evolution
+under n.S, run by the cached spectral propagator of `dynamics`.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,30 +43,11 @@ class CollectiveSpinParams:
         return self.spin - np.arange(self.dim)
 
 
-@dataclass(eq=False)
-class SpinOperators:
-    """Dense collective operators Sx, Sy, Sz."""
-
-    params: CollectiveSpinParams
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def build_spin_operators(params: CollectiveSpinParams) -> SpinOperators:
-    """Construct (and cache per N) the dense collective spin operators."""
+def ladder(params: CollectiveSpinParams) -> np.ndarray:
+    """The one band of S+: entry i is <m_i|S+|m_(i+1)> = sqrt(S(S+1) - m(m+1)), m = m_(i+1)."""
     S = params.spin
-    m = params.m_values()
-    # <m+1|S+|m> = sqrt(S(S+1) - m(m+1)); raising moves one row up in this ordering
-    amp = np.sqrt(S * (S + 1) - m[1:] * (m[1:] + 1))
-    splus = np.zeros((params.dim, params.dim))
-    splus[np.arange(params.dim - 1), np.arange(1, params.dim)] = amp
-    sminus = splus.T
-    sx = 0.5 * (splus + sminus) + 0j
-    sy = -0.5j * (splus - sminus)
-    sz = np.diag(m) + 0j
-    return SpinOperators(params, sx, sy, sz)
+    m = params.m_values()[1:]
+    return np.sqrt(S * (S + 1) - m * (m + 1))
 
 
 @dataclass(frozen=True)
@@ -91,10 +75,25 @@ AXIS_Y = SpinAxis(theta=math.pi / 2, phi=math.pi / 2)
 AXIS_Z = SpinAxis(theta=0.0, phi=0.0)
 
 
-def spin_component(ops: SpinOperators, axis: SpinAxis) -> np.ndarray:
-    """n . S for a unit direction n."""
-    nx, ny, nz = axis.unit_vector
-    return nx * ops.sx + ny * ops.sy + nz * ops.sz
+# Cartesian components as exact triples; AXIS_X.unit_vector carries cos(pi/2) = 6e-17 in z
+SX, SY, SZ = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+
+
+def apply_spin(n, x: np.ndarray) -> np.ndarray:
+    """n.S times a vector x, or times each column of a matrix x, in O(d) per column."""
+    nx, ny, nz = n
+    params = CollectiveSpinParams(x.shape[0] - 1)
+    col = (slice(None),) + (None,) * (x.ndim - 1)
+    half = 0.5 * ladder(params)[col]
+    out = (nz * params.m_values())[col] * x + 0j
+    out[:-1] += (nx - 1j * ny) * half * x[1:]
+    out[1:] += (nx + 1j * ny) * half * x[:-1]
+    return out
+
+
+def spin_component(params: CollectiveSpinParams, n) -> np.ndarray:
+    """Dense n.S for a direction n = (nx, ny, nz), for the eigensolves that need a matrix."""
+    return apply_spin(n, np.eye(params.dim))
 
 
 class PureState:
@@ -192,25 +191,18 @@ def css(params: CollectiveSpinParams, theta: float, phi: float = 0.0) -> PureSta
     return PureState(amp)
 
 
-@functools.lru_cache(maxsize=128)
-def _axis_eigensystem(params: CollectiveSpinParams, axis: SpinAxis):
-    """Eigendecomposition of n . S, cached per (N, axis)."""
-    return np.linalg.eigh(spin_component(build_spin_operators(params), axis))
-
-
 def rotation_matrix(params: CollectiveSpinParams, axis: SpinAxis, angle: float) -> np.ndarray:
     """Unitary e^(-i angle n.S)."""
-    w, v = _axis_eigensystem(params, axis)
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
+    from .dynamics import propagator_for  # dynamics builds on this module
+
+    return propagator_for(axis, params).unitary(angle)
 
 
 def rotate(state: State, axis: SpinAxis, angle: float) -> State:
-    """Rotate a pure or mixed state by e^(-i angle n.S)."""
-    if isinstance(state, PureState):
-        u = rotation_matrix(state.params, axis, angle)
-        return PureState(u @ state.amplitudes)
-    u = rotation_matrix(state.params, axis, angle)
-    return DensityMatrix(u @ state.matrix @ u.conj().T)
+    """Rotate a pure or mixed state by e^(-i angle n.S); a pure state forms no matrix."""
+    from .dynamics import propagator_for
+
+    return propagator_for(axis, state.params).evolve(state, angle)
 
 
 def state_to_json(state: State) -> str:

@@ -22,9 +22,13 @@ from .dicke import (
     CollectiveSpinParams,
     DensityMatrix,
     PureState,
+    SX,
+    SY,
+    SpinAxis,
     State,
+    apply_spin,
     as_density,
-    build_spin_operators,
+    spin_component,
 )
 
 HAMILTONIAN_KINDS = ("OAT", "LMG", "TAT")
@@ -57,12 +61,11 @@ def build_hamiltonian(spec: HamiltonianSpec, params: CollectiveSpinParams) -> np
     product is formed. For LMG with Omega >= 0 the bytes equal those of
     chi (Sz @ Sz) + Omega Sx.
     """
-    ops = build_spin_operators(params)
     if spec.kind == "TAT":
-        h = ops.sy @ ops.sy
+        h = apply_spin(SY, spin_component(params, SY))
         h *= -spec.chi
     else:
-        h = spec.omega * ops.sx  # all zeros for OAT
+        h = spec.omega * spin_component(params, SX)  # all zeros for OAT
     idx = np.arange(params.dim)
     h[idx, idx] += spec.chi * params.m_values() ** 2
     return h
@@ -104,10 +107,10 @@ def classify_stability(chi: float, omega: float, spin: float) -> StabilityReport
 
 
 class UnitaryPropagator:
-    """Spectral-decomposition propagator of the Hamiltonian named by spec."""
+    """Spectral decomposition of a Hermitian generator G; evolves states by e^(-iGt)."""
 
-    def __init__(self, spec: HamiltonianSpec, params: CollectiveSpinParams):
-        self.eigvals, self.eigvecs = np.linalg.eigh(build_hamiltonian(spec, params))
+    def __init__(self, generator: np.ndarray):
+        self.eigvals, self.eigvecs = np.linalg.eigh(generator)
 
     def unitary(self, t: float) -> np.ndarray:
         v = self.eigvecs
@@ -123,12 +126,16 @@ class UnitaryPropagator:
 
 
 @functools.lru_cache(maxsize=32)
-def propagator_for(spec: HamiltonianSpec, params: CollectiveSpinParams) -> UnitaryPropagator:
-    """Eigendecomposition of H, cached on (spec, params).
+def propagator_for(generator: HamiltonianSpec | SpinAxis, params: CollectiveSpinParams) -> UnitaryPropagator:
+    """Eigendecomposition of H for a HamiltonianSpec, or of n.S for a SpinAxis,
+    cached on (generator, params).
 
-    A unitary backward leg needs no entry of its own: U(-H, t) = U(H, -t).
+    A rotation by an angle is evolution under n.S for t = angle. A unitary
+    backward leg needs no entry of its own: U(-H, t) = U(H, -t).
     """
-    return UnitaryPropagator(spec, params)
+    if isinstance(generator, SpinAxis):
+        return UnitaryPropagator(spin_component(params, generator.unit_vector))
+    return UnitaryPropagator(build_hamiltonian(generator, params))
 
 
 def evolve_unitary(spec: HamiltonianSpec, state: State, t: float) -> State:
@@ -148,8 +155,8 @@ class LindbladSpec:
 
 
 def default_lindblad_dt(spec: HamiltonianSpec, lindblad: LindbladSpec, params: CollectiveSpinParams) -> float:
-    """Step heuristic dt = 0.01 / (||H||_2 + gamma S^2), ||H||_2 from the cached spectrum."""
-    hnorm = float(np.max(np.abs(propagator_for(spec, params).eigvals)))
+    """Step heuristic dt = 0.01 / (||H||_2 + gamma S^2), ||H||_2 from the eigenvalues alone."""
+    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(build_hamiltonian(spec, params)))))
     return 0.01 / (hnorm + lindblad.gamma * params.spin**2)
 
 

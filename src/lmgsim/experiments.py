@@ -277,8 +277,19 @@ def _csv_text(header: list[str], rows, digest: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rounded(obj):
+    """obj with every float cut to the 12 significant digits of the CSV rows."""
+    if isinstance(obj, float):
+        return float(_fmt(obj))
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
 def _json_text(obj: dict, digest: str) -> str:
-    return json.dumps({"manifest_sha256": digest, **obj}, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"manifest_sha256": digest, **_rounded(obj)}, sort_keys=True, indent=2) + "\n"
 
 
 def _map_grid(fn, items, workers: int) -> list:
@@ -471,6 +482,8 @@ def run_experiment(config: dict, outdir, workers: int = 1) -> RunResult:
     Outputs are deterministic in (config, seed) and independent of the worker
     count; the manifest hash covers config, seed, and software version only.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cfg = expand_config(config)
     digest = manifest_hash(cfg)
     out = Path(outdir)

@@ -11,14 +11,14 @@ from scipy.special import sph_legendre_p_all
 
 from . import tolerances
 from .dicke import (
-    DensityMatrix,
     PureState,
+    SX,
+    SY,
+    SZ,
     SpinAxis,
-    SpinOperators,
     State,
+    apply_spin,
     as_density,
-    build_spin_operators,
-    spin_component,
 )
 
 LEGENDRE_BLOCK_BYTES = 8 * 2**20
@@ -34,48 +34,38 @@ class SpinMoments:
     fourth: float
 
 
-def _raw_moments(state: State, op: np.ndarray, orders: int = 4) -> list[float]:
-    if isinstance(state, PureState):
-        vec = state.amplitudes
-        out, cur = [], vec
-        for _ in range(orders):
-            cur = op @ cur
-            out.append(float(np.real(vec.conj() @ cur)))
-        return out
-    out, cur = [], state.matrix
-    for _ in range(orders):
-        cur = cur @ op
-        out.append(float(np.trace(cur).real))
-    return out
-
-
 def spin_moments(state: State, axis: SpinAxis) -> SpinMoments:
     """Mean and central moments (up to 4th) of the spin component n.S."""
-    ops = build_spin_operators(state.params)
-    a = spin_component(ops, axis)
-    m1, m2, m3, m4 = _raw_moments(state, a, 4)
+    n = axis.unit_vector
+    pure = isinstance(state, PureState)
+    start = state.amplitudes if pure else state.matrix
+    raw, cur = [], start
+    for _ in range(4):
+        cur = apply_spin(n, cur)  # A^k psi, or A^k rho with <A^k> = Tr(A^k rho)
+        raw.append(float(np.real(start.conj() @ cur if pure else np.trace(cur))))
+    m1, m2, m3, m4 = raw
     var = m2 - m1**2
     third = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     fourth = m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4
     return SpinMoments(mean=m1, var=var, third=third, fourth=fourth)
 
 
-def _yz_quadratic_form(state: State, ops: SpinOperators):
-    """Coefficients of var(S_alpha) = vy cos^2 a + vz sin^2 a + 2 cov sin a cos a."""
+def yz_moments(state: State) -> tuple[float, float, float, float, float]:
+    """(<Sy>, <Sz>, vy, vz, cov): the means and the symmetrized 2x2 covariance,
+    so var(Sy cos a + Sz sin a) = vy cos^2 a + vz sin^2 a + 2 cov sin a cos a."""
     if isinstance(state, PureState):
         vec = state.amplitudes
-        yv, zv = ops.sy @ vec, ops.sz @ vec
-        ey, ez = float(np.real(vec.conj() @ yv)), float(np.real(vec.conj() @ zv))
-        eyy, ezz = float(np.real(yv.conj() @ yv)), float(np.real(zv.conj() @ zv))
-        cross = float(np.real(yv.conj() @ zv))  # Re<Sy Sz> = symmetrized product
+        yv, zv = apply_spin(SY, vec), apply_spin(SZ, vec)
+        ey, ez = (vec.conj() @ yv).real, (vec.conj() @ zv).real
+        eyy, ezz = (yv.conj() @ yv).real, (zv.conj() @ zv).real
+        cross = (yv.conj() @ zv).real  # Re<Sy Sz> = symmetrized product
     else:
-        rho = state.matrix
-        ey = float(np.trace(rho @ ops.sy).real)
-        ez = float(np.trace(rho @ ops.sz).real)
-        eyy = float(np.trace(rho @ ops.sy @ ops.sy).real)
-        ezz = float(np.trace(rho @ ops.sz @ ops.sz).real)
-        cross = float(np.trace(rho @ (ops.sy @ ops.sz + ops.sz @ ops.sy)).real) / 2.0
-    return eyy - ey**2, ezz - ez**2, cross - ey * ez
+        y_rho, z_rho = apply_spin(SY, state.matrix), apply_spin(SZ, state.matrix)
+        ey, ez = np.trace(y_rho).real, np.trace(z_rho).real
+        eyy, ezz = np.trace(apply_spin(SY, y_rho)).real, np.trace(apply_spin(SZ, z_rho)).real
+        cross = np.trace(apply_spin(SY, z_rho)).real  # Re Tr(Sy Sz rho)
+    ey, ez = float(ey), float(ez)
+    return ey, ez, float(eyy - ey**2), float(ezz - ez**2), float(cross - ey * ez)
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,7 @@ def antisqueezing(state: State) -> Antisqueezing:
     where the two eigenvalues coincide, as for a coherent state.
     """
     params = state.params
-    vy, vz, cov = _yz_quadratic_form(state, build_spin_operators(params))
+    _, _, vy, vz, cov = yz_moments(state)
     half_diff = 0.5 * (vy - vz)
     top = 0.5 * (vy + vz) + math.hypot(half_diff, cov)
     alpha_max = 0.5 * math.atan2(cov, half_diff) % math.pi
@@ -136,15 +126,13 @@ class QfiResult:
 def qfi(state: State, axis: SpinAxis) -> QfiResult:
     """Spectral QFI: F_Q = 2 sum_{q_k + q_k' > cutoff} (q_k - q_k')^2 / (q_k + q_k')
     |<k'|n.S|k>|^2, assembled together with the full 3x3 matrix over x, y, z."""
-    rho = as_density(state)
-    ops = build_spin_operators(rho.params)
-    q, v = np.linalg.eigh(rho.matrix)
+    q, v = np.linalg.eigh(as_density(state).matrix)
     q = np.clip(q, 0.0, None)
     ssum = q[:, None] + q[None, :]
     diff = q[:, None] - q[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.where(ssum > tolerances.EIG_CUTOFF, 2.0 * diff**2 / ssum, 0.0)
-    comps = [v.conj().T @ s @ v for s in (ops.sx, ops.sy, ops.sz)]
+    comps = [v.conj().T @ apply_spin(e, v) for e in (SX, SY, SZ)]
     gamma = np.empty((3, 3))
     for i in range(3):
         for j in range(i, 3):

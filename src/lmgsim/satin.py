@@ -13,16 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import (
-    CollectiveSpinParams,
-    PureState,
-    SpinAxis,
-    State,
-    build_spin_operators,
-    rotate,
-    spin_component,
-)
+from .dicke import CollectiveSpinParams, SpinAxis, State, rotate
 from .dynamics import HamiltonianSpec, LindbladSpec, evolve_lindblad, evolve_unitary
+from .observables import yz_moments
 
 READOUT_SCAN_POINTS = 64
 
@@ -78,12 +71,6 @@ def run_satin(state: State, config: SatinConfig, delta_phi: float) -> State:
     return _satin_finals(state, config, (delta_phi,))[0]
 
 
-def _yz_means(state: State, ops) -> tuple[float, float]:
-    ey = state.expectation(ops.sy).real
-    ez = state.expectation(ops.sz).real
-    return float(ey), float(ez)
-
-
 def _response_scan(dy: float, dz: float) -> tuple[float, float]:
     """Readout angle in [0, pi) with maximal |response| on the 64-point scan."""
     betas = np.arange(READOUT_SCAN_POINTS) * math.pi / READOUT_SCAN_POINTS
@@ -107,10 +94,9 @@ def _signal_and_axis(plus: State, minus: State, config: SatinConfig) -> tuple[fl
     """(G, readout angle): amplified response of the +-probe final states
     normalized by the CSS response."""
     params = plus.params
-    ops = build_spin_operators(params)
     dphi = config.delta_phi_probe
-    yp, zp = _yz_means(plus, ops)
-    ym, zm = _yz_means(minus, ops)
+    yp, zp = yz_moments(plus)[:2]
+    ym, zm = yz_moments(minus)[:2]
     beta, response = _response_scan((yp - ym) / (2.0 * dphi), (zp - zm) / (2.0 * dphi))
     ref = _css_reference_response(params, config, beta)
     if abs(ref) < 1e-12 * params.spin:
@@ -123,17 +109,10 @@ def _signal_and_axis(plus: State, minus: State, config: SatinConfig) -> tuple[fl
 
 def _readout_noise(final: State, config: SatinConfig, readout_alpha: float) -> float:
     """Readout variance of the zero-probe final state, normalized to S/2."""
-    params = final.params
-    a = spin_component(build_spin_operators(params), SpinAxis.in_plane(readout_alpha))
-    if isinstance(final, PureState):
-        a_psi = a @ final.amplitudes
-        mean = complex(final.amplitudes.conj() @ a_psi).real
-        second = float(np.vdot(a_psi, a_psi).real)  # <A^2> = ||A psi||^2
-    else:
-        mean = final.expectation(a).real
-        second = final.expectation(a @ a).real
-    var = float(second - mean**2)
-    return var / (params.spin / 2.0) + config.detection_noise_var
+    _, _, vy, vz, cov = yz_moments(final)
+    c, s = math.cos(readout_alpha), math.sin(readout_alpha)
+    var = vy * c * c + vz * s * s + 2.0 * cov * s * c
+    return var / (final.params.spin / 2.0) + config.detection_noise_var
 
 
 def signal_gain(state: State, config: SatinConfig) -> float:

@@ -11,16 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import (
-    CollectiveSpinParams,
-    PureState,
-    SpinAxis,
-    State,
-    _axis_eigensystem,
-    as_density,
-    build_spin_operators,
-    spin_component,
-)
+from .dicke import CollectiveSpinParams, PureState, SpinAxis, State, as_density, spin_component
 from .dynamics import HamiltonianSpec, propagator_for
 
 DEFAULT_DELTA_PHI_GRID = (-0.01, -0.005, -0.002, 0.0, 0.002, 0.005, 0.01)
@@ -53,9 +44,10 @@ def fotoc(
     Density matrices take the dense echo.
     """
     prop = propagator_for(spec, state.params)
-    w, v = _axis_eigensystem(state.params, axis)
+    rot = propagator_for(axis, state.params)
     if isinstance(state, PureState):
-        weights = np.abs(v.conj().T @ prop.evolve(state, t).amplitudes) ** 2
+        w = rot.eigvals
+        weights = np.abs(rot.eigvecs.conj().T @ prop.evolve(state, t).amplitudes) ** 2
         return [
             FotocSample(delta_phi=float(dphi), fidelity=float(np.abs(weights @ np.exp(-1j * w * dphi)) ** 2))
             for dphi in delta_phis
@@ -65,7 +57,7 @@ def fotoc(
     rho = state.matrix
     samples = []
     for dphi in delta_phis:
-        u_echo = u_bwd @ ((v * np.exp(-1j * w * dphi)) @ v.conj().T) @ u_fwd
+        u_echo = u_bwd @ rot.unitary(dphi) @ u_fwd
         fid = float(np.real(np.trace(u_echo @ rho @ u_echo.conj().T @ rho)))
         samples.append(FotocSample(delta_phi=float(dphi), fidelity=fid))
     return samples
@@ -118,6 +110,6 @@ def otoc_trace_form(spec: HamiltonianSpec, state: State, axis: SpinAxis, t: floa
     var(S_a(t)); the two deliberately coexist and are not reconciled.
     """
     rho = as_density(state).matrix
-    gen = spin_component(build_spin_operators(state.params), axis)
+    gen = spin_component(state.params, axis.unit_vector)
     a_t = heisenberg_operator(spec, gen, t)
     return float(np.real(np.trace(a_t @ rho @ a_t @ rho)))

@@ -1,13 +1,30 @@
-"""Independent oracles shared across test modules: closed-form twisting
-moments, the analytically dephased state, brute-force expm evolution and the
-dense measurement basis."""
+"""Independent oracles shared across test modules: dense spin matrices,
+closed-form twisting moments, the analytically dephased state, brute-force
+expm evolution and the dense measurement basis."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
 
 from lmgsim import AXIS_Y, AXIS_Z, CollectiveSpinParams, DensityMatrix, PureState, as_density, rotation_matrix
+
+
+def dense_spin_operators(params: CollectiveSpinParams) -> SimpleNamespace:
+    """Dense complex Sx, Sy, Sz from S+ = sum_m sqrt(S(S+1) - m(m+1)) |m+1><m|,
+    built apart from the package's ladder."""
+    s = params.spin
+    m = params.m_values()
+    splus = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), k=1)
+    sminus = splus.T
+    return SimpleNamespace(sx=0.5 * (splus + sminus) + 0j, sy=-0.5j * (splus - sminus), sz=np.diag(m) + 0j)
+
+
+def dense_component(ops: SimpleNamespace, axis) -> np.ndarray:
+    """n.S from the dense matrices, for a SpinAxis or a direction (nx, ny, nz)."""
+    nx, ny, nz = getattr(axis, "unit_vector", axis)
+    return nx * ops.sx + ny * ops.sy + nz * ops.sz
 
 
 def oat_closed_form_moments(n_atoms: int, chi: float, t: float) -> dict:

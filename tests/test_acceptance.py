@@ -24,7 +24,6 @@ from lmgsim import (
     antisqueezing,
     as_density,
     bootstrap_otoc,
-    build_spin_operators,
     css,
     evolve_lindblad,
     evolve_unitary,
@@ -39,9 +38,9 @@ from lmgsim import (
     run_satin,
     signal_gain,
     simulate_measurements,
-    spin_component,
     uhlmann_fidelity,
 )
+from helpers import dense_component, dense_spin_operators
 
 CHI = 1.0
 N_BIG = 200
@@ -154,7 +153,7 @@ def test_criterion_6_otoc_equals_heisenberg_variance(acceptance):
     spec = _critical_spec(params)
     state0 = css(params, math.pi / 2, 0.0)
     axis = SpinAxis.in_plane(math.pi / 4)
-    gen = spin_component(build_spin_operators(params), axis)
+    gen = dense_component(dense_spin_operators(params), axis)
     scale = params.spin * CHI
     worst = 0.0
     for st in (0.38, 0.57, 0.77, 0.96):

@@ -152,6 +152,38 @@ def test_run_experiment_byte_identical_across_workers(tmp_path):
     assert [float(row.split(",")[0]) for row in rows] == cfg["s_chi_t_grid"]
 
 
+_PRESET_FILES = """
+import sys
+from pathlib import Path
+from lmgsim import run_experiment
+for fig in ("fig2b", "fig2c", "fig2d", "fig3", "fig5"):
+    run_experiment({"experiment": fig}, Path(sys.argv[1]) / fig)
+"""
+
+
+def test_preset_datasets_at_n200_do_not_depend_on_blas_threads(tmp_path):
+    # threadpoolctl is not a dependency: set the OpenBLAS pool size per process
+    src = str(Path(lmgsim.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", _PRESET_FILES, str(tmp_path / threads)], env=env, check=True)
+    files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*.*") if p.name != "manifest.json")
+    assert len(files) == 6  # exponents.json beside the five CSVs
+    for name in files:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_are_rejected(tmp_path, capsys, workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_experiment(_tiny_drive_sweep(6), tmp_path / "api", workers=workers)
+    cfg_path = _write_config(tmp_path, _tiny_drive_sweep(6))
+    out = tmp_path / "cli"
+    assert main(["run", cfg_path, "--out", str(out), "--workers", str(workers)]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "api").exists() and not out.exists()
+
+
 def test_version_does_not_depend_on_install_state(tmp_path):
     # distribution metadata on the path must not change the version the manifest hashes
     dist = tmp_path / "lmgsim-9.9.9.dist-info"
@@ -258,7 +290,8 @@ def test_tomographic_fotoc_reports_mle_counters(tmp_path, monkeypatch):
     (result,) = results
     assert otoc["mle_iterations"] == [r.iterations for r in result.reconstructions]
     assert otoc["mle_converged"] == [r.converged for r in result.reconstructions]
-    assert otoc["mle_gap"] == [r.gap for r in result.reconstructions]
+    # JSON floats carry the 12 significant digits of the CSV rows
+    assert otoc["mle_gap"] == [float(f"{r.gap:.12g}") for r in result.reconstructions]
     assert len(otoc["mle_iterations"]) == 5 and all(n > 0 for n in otoc["mle_iterations"])
 
 

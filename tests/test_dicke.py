@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from lmgsim import (
     AXIS_X,
@@ -12,17 +13,21 @@ from lmgsim import (
     CollectiveSpinParams,
     DensityMatrix,
     PureState,
+    SX,
+    SY,
+    SZ,
     SpinAxis,
+    apply_spin,
     as_density,
-    build_spin_operators,
     css,
+    ladder,
     rotate,
     rotation_matrix,
     spin_component,
     state_from_json,
     state_to_json,
 )
-from helpers import random_density, random_pure_state
+from helpers import dense_component, dense_spin_operators, random_density, random_pure_state
 
 
 def test_params_basics():
@@ -40,29 +45,64 @@ def test_params_rejects_bad_n(bad):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 40])
 def test_operator_algebra(n):
-    ops = build_spin_operators(CollectiveSpinParams(n))
+    p = CollectiveSpinParams(n)
+    sx, sy, sz = (spin_component(p, e) for e in (SX, SY, SZ))
     s = n / 2.0
     eye = np.eye(n + 1)
-    for a in (ops.sx, ops.sy, ops.sz):
+    for a in (sx, sy, sz):
         assert np.allclose(a, a.conj().T, atol=1e-12)
-    assert np.allclose(ops.sx @ ops.sy - ops.sy @ ops.sx, 1j * ops.sz, atol=1e-12)
-    assert np.allclose(ops.sy @ ops.sz - ops.sz @ ops.sy, 1j * ops.sx, atol=1e-12)
-    assert np.allclose(ops.sz @ ops.sx - ops.sx @ ops.sz, 1j * ops.sy, atol=1e-12)
-    casimir = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
+    assert np.allclose(sx @ sy - sy @ sx, 1j * sz, atol=1e-12)
+    assert np.allclose(sy @ sz - sz @ sy, 1j * sx, atol=1e-12)
+    assert np.allclose(sz @ sx - sx @ sz, 1j * sy, atol=1e-12)
+    casimir = sx @ sx + sy @ sy + sz @ sz
     assert np.allclose(casimir, s * (s + 1) * eye, atol=1e-10)
 
 
-def test_operator_cache_returns_same_object():
-    p = CollectiveSpinParams(7)
-    assert build_spin_operators(p) is build_spin_operators(p)
+def test_ladder_is_the_band_of_s_plus():
+    p = CollectiveSpinParams(9)
+    ops = dense_spin_operators(p)
+    splus = ops.sx + 1j * ops.sy
+    assert np.allclose(ladder(p), np.diagonal(splus, offset=1), atol=1e-14)
+    assert np.allclose(np.triu(splus, 2) + np.tril(splus), 0.0, atol=1e-14)
+
+
+def test_exact_triples_are_the_dense_components_bit_for_bit():
+    # AXIS_X.unit_vector carries cos(pi/2) = 6e-17 in z; the exact triples do not
+    for n in (1, 6, 200):
+        p = CollectiveSpinParams(n)
+        ops = dense_spin_operators(p)
+        assert spin_component(p, SX).tobytes() == ops.sx.tobytes()
+        assert spin_component(p, SZ).tobytes() == ops.sz.tobytes()
+        assert np.array_equal(spin_component(p, SY), ops.sy)
+
+
+def _directions(rng):
+    axes = [SpinAxis(theta=rng.uniform(0.0, math.pi), phi=rng.uniform(0.0, 2 * math.pi)) for _ in range(3)]
+    return [SX, SY, SZ, AXIS_X.unit_vector, AXIS_Y.unit_vector] + [a.unit_vector for a in axes]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 200])
+def test_spin_component_and_apply_spin_match_dense(n):
+    p = CollectiveSpinParams(n)
+    ops = dense_spin_operators(p)
+    rng = np.random.default_rng(n)
+    vec = random_pure_state(n, rng).amplitudes
+    cols = rng.normal(size=(p.dim, 3)) + 1j * rng.normal(size=(p.dim, 3))
+    for direction in _directions(rng):
+        dense = dense_component(ops, direction)
+        assert np.max(np.abs(spin_component(p, direction) - dense)) < 1e-14 * max(1.0, p.spin)
+        tol = 1e-12 * max(1.0, p.spin)
+        assert np.max(np.abs(apply_spin(direction, vec) - dense @ vec)) < tol
+        assert np.max(np.abs(apply_spin(direction, cols) - dense @ cols)) < tol
+        assert np.max(np.abs(apply_spin(direction, cols.real) - dense @ cols.real)) < tol
 
 
 def test_spin_component_directions():
     p = CollectiveSpinParams(4)
-    ops = build_spin_operators(p)
-    assert np.allclose(spin_component(ops, AXIS_X), ops.sx)
-    assert np.allclose(spin_component(ops, AXIS_Y), ops.sy)
-    assert np.allclose(spin_component(ops, AXIS_Z), ops.sz)
+    ops = dense_spin_operators(p)
+    assert np.allclose(spin_component(p, AXIS_X.unit_vector), ops.sx)
+    assert np.allclose(spin_component(p, AXIS_Y.unit_vector), ops.sy)
+    assert np.allclose(spin_component(p, AXIS_Z.unit_vector), ops.sz)
     alpha = 0.8
     in_plane = SpinAxis.in_plane(alpha)
     assert np.allclose(in_plane.unit_vector, (0.0, math.cos(alpha), math.sin(alpha)), atol=1e-15)
@@ -81,10 +121,10 @@ def test_css_poles(n):
 @pytest.mark.parametrize("theta,phi", [(math.pi / 2, 0.0), (0.7, 1.9), (2.4, -0.6)])
 def test_css_points_along_axis(n, theta, phi):
     p = CollectiveSpinParams(n)
-    ops = build_spin_operators(p)
+    ops = dense_spin_operators(p)
     state = css(p, theta, phi)
     direction = SpinAxis(theta=theta, phi=phi)
-    mean = state.expectation(spin_component(ops, direction)).real
+    mean = state.expectation(dense_component(ops, direction)).real
     assert abs(mean - p.spin) < 1e-9 * p.spin
     # transverse variance of a CSS sits exactly at the SQL
     var_z = state.expectation(ops.sz @ ops.sz).real - state.expectation(ops.sz).real ** 2
@@ -112,6 +152,15 @@ def test_rotation_matrix_is_unitary():
     p = CollectiveSpinParams(12)
     u = rotation_matrix(p, SpinAxis(theta=1.1, phi=0.4), 0.77)
     assert np.allclose(u @ u.conj().T, np.eye(p.dim), atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", [AXIS_X, SpinAxis(theta=1.1, phi=0.4), SpinAxis.in_plane(2.5)])
+def test_pure_rotate_matches_expm_at_n200(axis):
+    p = CollectiveSpinParams(200)
+    state = random_pure_state(200, np.random.default_rng(5))
+    angle = 0.37
+    want = expm(-1j * angle * dense_component(dense_spin_operators(p), axis)) @ state.amplitudes
+    assert np.max(np.abs(rotate(state, axis, angle).amplitudes - want)) < 1e-12
 
 
 def test_z_rotation_carries_css_phase():

@@ -12,22 +12,23 @@ from lmgsim import (
     CollectiveSpinParams,
     HamiltonianSpec,
     LindbladSpec,
+    SpinAxis,
     build_hamiltonian,
-    build_spin_operators,
     classify_stability,
     css,
     default_lindblad_dt,
     evolve_lindblad,
     evolve_unitary,
     propagator_for,
+    rotation_matrix,
 )
 from lmgsim import dynamics
-from helpers import brute_force_evolve, dephased_oat_density, random_pure_state
+from helpers import brute_force_evolve, dense_spin_operators, dephased_oat_density, random_pure_state
 
 
 def test_hamiltonian_kinds():
     p = CollectiveSpinParams(6)
-    ops = build_spin_operators(p)
+    ops = dense_spin_operators(p)
     szsz = ops.sz @ ops.sz
     assert np.allclose(build_hamiltonian(HamiltonianSpec(chi=0.7, kind="OAT"), p), 0.7 * szsz)
     assert np.allclose(
@@ -43,7 +44,7 @@ def test_hamiltonian_kinds():
 def test_lmg_hamiltonian_bytes_match_dense_product(n):
     # the in-place assembly must reproduce chi (Sz @ Sz) + Omega Sx bit for bit
     p = CollectiveSpinParams(n)
-    ops = build_spin_operators(p)
+    ops = dense_spin_operators(p)
     # negated couplings (the reversed spec) must give the bytes of sign * H
     for chi, ratio, sign in itertools.product((1.0, 0.3), (0.0, 0.5, 1.0, 3.0), (1, -1)):
         omega = ratio * chi * p.spin
@@ -150,6 +151,23 @@ def test_propagator_group_property_and_cache():
     assert propagator_for.cache_info().currsize == 32
 
 
+def test_propagator_cache_holds_hamiltonians_and_axes_side_by_side():
+    p = CollectiveSpinParams(8)
+    spec = HamiltonianSpec(chi=1.0, omega=4.0)
+    axis = SpinAxis.in_plane(0.7)
+    propagator_for.cache_clear()
+    h_prop, axis_prop = propagator_for(spec, p), propagator_for(axis, p)
+    assert propagator_for.cache_info().currsize == 2
+    assert propagator_for(spec, p) is h_prop and propagator_for(axis, p) is axis_prop
+    # the axis entry is the spectrum of n.S: eigenvalues S, S - 1, ..., -S
+    assert np.allclose(axis_prop.eigvals, np.sort(p.m_values()), atol=1e-12)
+    assert np.allclose(rotation_matrix(p, axis, 0.4), axis_prop.unitary(0.4))
+    for k in range(40):
+        propagator_for(SpinAxis(theta=0.05 * k), p)
+    assert propagator_for.cache_info().currsize == 32
+    assert propagator_for.cache_info().maxsize == 32
+
+
 def test_forward_backward_echo():
     p = CollectiveSpinParams(60)
     spec = HamiltonianSpec(chi=1.0, omega=p.spin)
@@ -164,7 +182,7 @@ def test_stable_regime_variance_is_periodic():
     n = 200
     p = CollectiveSpinParams(n)
     s = p.spin
-    ops = build_spin_operators(p)
+    ops = dense_spin_operators(p)
     state0 = css(p, math.pi / 2, 0.0)
     rep = classify_stability(1.0, 3.0 * s, s)
     period = math.pi / rep.omega_hp
@@ -210,7 +228,7 @@ def test_lindblad_matches_dephased_closed_form():
 @pytest.mark.parametrize("gamma", [0.3, 2.0])
 def test_lindblad_matches_expm_of_dense_generator(n, axis, gamma):
     p = CollectiveSpinParams(n)
-    ops = build_spin_operators(p)
+    ops = dense_spin_operators(p)
     spec = HamiltonianSpec(chi=1.0, omega=p.spin)
     h = build_hamiltonian(spec, p)
     nx, ny, nz = axis.unit_vector

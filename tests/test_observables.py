@@ -23,20 +23,20 @@ from lmgsim import (
     antisqueezing,
     binder_cumulant,
     binder_from_central_moments,
-    build_spin_operators,
     css,
     evolve_unitary,
     multipole_components,
     qfi,
     rotate,
-    spin_component,
     spin_moments,
     wigner,
     wigner_points,
 )
 from lmgsim import observables
 from helpers import (
+    dense_component,
     dense_multipoles,
+    dense_spin_operators,
     dephased_oat_density,
     oat_closed_form_moments,
     oat_max_transverse_variance,
@@ -87,7 +87,7 @@ def test_antisqueezing_matches_covariance_eigenvalue(t):
     assert 0.0 <= a.alpha_max < math.pi
     # the top eigenvector of the dense 2x2 (Sy, Sz) covariance points along alpha_max
     rho = as_density(state).matrix
-    ops = build_spin_operators(state.params)
+    ops = dense_spin_operators(state.params)
     mean = [np.trace(rho @ s).real for s in (ops.sy, ops.sz)]
     cov = np.array([
         [np.trace(rho @ (si @ sj + sj @ si)).real / 2.0 - mi * mj for sj, mj in zip((ops.sy, ops.sz), mean)]
@@ -105,7 +105,7 @@ def test_antisqueezing_matches_covariance_eigenvalue(t):
 def test_antisqueezing_axis_folds_into_half_open_range(monkeypatch):
     # a covariance within rounding of 0 below the y axis gives an angle of
     # -1e-20 rad, which % pi rounds up to pi; the axis is the same as 0
-    monkeypatch.setattr(observables, "_yz_quadratic_form", lambda state, ops: (2.0, 1.0, -1e-20))
+    monkeypatch.setattr(observables, "yz_moments", lambda state: (0.0, 0.0, 2.0, 1.0, -1e-20))
     a = antisqueezing(css(CollectiveSpinParams(4), math.pi / 2, 0.0))
     assert a.alpha_max == 0.0
     assert a.xi_plus_sq == 2.0  # top eigenvalue 2 over S/2 = 1
@@ -176,9 +176,9 @@ def test_qfi_mixed_matches_naive_spectral_sum(alpha):
     rho0 = css(p, math.pi / 2, 0.0).to_density().matrix
     rho = DensityMatrix(dephased_oat_density(rho0, n, 1.0, 0.9, 0.2))
     axis = SpinAxis.in_plane(alpha)
-    ops = build_spin_operators(p)
+    ops = dense_spin_operators(p)
     ours = qfi(rho, axis)
-    assert abs(ours.f_q - _qfi_reference(rho.matrix, spin_component(ops, axis))) < 1e-10
+    assert abs(ours.f_q - _qfi_reference(rho.matrix, dense_component(ops, axis))) < 1e-10
     # gamma_q consistency: f_q = n . Gamma . n, and the matrix is symmetric PSD
     nvec = np.asarray(axis.unit_vector)
     assert abs(ours.f_q - nvec @ ours.gamma_q @ nvec) < 1e-10

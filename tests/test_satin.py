@@ -14,17 +14,16 @@ from lmgsim import (
     LindbladSpec,
     SatinConfig,
     SpinAxis,
-    build_spin_operators,
     css,
     metrological_gain,
     propagator_for,
     rotate,
     run_satin,
     signal_gain,
-    spin_component,
 )
 from lmgsim import satin
 from lmgsim.satin import _css_reference_response
+from helpers import dense_component, dense_spin_operators
 
 N = 40
 
@@ -43,11 +42,29 @@ def test_zero_probe_echo_is_identity():
 
 
 def test_unitary_protocol_diagonalises_one_hamiltonian():
-    # the backward leg runs the forward propagator to -t, not an eigensolve of -H
+    # the backward leg runs the forward propagator to -t, not an eigensolve of -H;
+    # the other entry is the probe axis
     p, cfg = _config(0.8)
     propagator_for.cache_clear()
     metrological_gain(css(p, math.pi / 2, 0.0), cfg)
+    assert propagator_for.cache_info().currsize == 2
+    misses = propagator_for.cache_info().misses
+    propagator_for(cfg.hamiltonian, p)
+    propagator_for(SpinAxis.in_plane(cfg.alpha), p)
+    assert propagator_for.cache_info().misses == misses
+
+
+def test_dephased_protocol_caches_no_hamiltonian():
+    # the Lindblad legs read ||H||_2 from eigenvalues alone: the probe axis is the one entry
+    p = CollectiveSpinParams(10)
+    cfg = SatinConfig(hamiltonian=HamiltonianSpec(chi=1.0, omega=p.spin), t=0.6 / p.spin,
+                      lindblad=LindbladSpec(gamma=0.3))
+    propagator_for.cache_clear()
+    metrological_gain(css(p, math.pi / 2, 0.0), cfg)
     assert propagator_for.cache_info().currsize == 1
+    misses = propagator_for.cache_info().misses
+    propagator_for(SpinAxis.in_plane(cfg.alpha), p)
+    assert propagator_for.cache_info().misses == misses
 
 
 def test_gain_is_unity_without_dynamics():
@@ -100,7 +117,7 @@ def test_metrological_gain_matches_separate_runs(n, gamma):
 
     # independent readout of the three run_satin final states along the chosen axis
     dphi = cfg.delta_phi_probe
-    a = spin_component(build_spin_operators(p), SpinAxis.in_plane(res.readout_alpha))
+    a = dense_component(dense_spin_operators(p), SpinAxis.in_plane(res.readout_alpha))
     plus, minus, zero = (run_satin(state, cfg, x) for x in (dphi, -dphi, 0.0))
     response = (plus.expectation(a) - minus.expectation(a)).real / (2.0 * dphi)
     reference = p.spin * math.sin(dphi) / dphi * math.sin(cfg.alpha - res.readout_alpha)
@@ -111,12 +128,12 @@ def test_metrological_gain_matches_separate_runs(n, gamma):
 
 def test_css_reference_closed_form_matches_central_difference():
     p = CollectiveSpinParams(200)
-    ops = build_spin_operators(p)
+    ops = dense_spin_operators(p)
     ref = css(p, math.pi / 2, 0.0)
     for alpha, beta in itertools.product((0.0, 0.3, math.pi / 4, 2.0), (0.1, math.pi / 2, 2.9)):
         cfg = SatinConfig(hamiltonian=HamiltonianSpec(chi=1.0), t=0.0, alpha=alpha)
         axis = SpinAxis.in_plane(alpha)
-        readout = spin_component(ops, SpinAxis.in_plane(beta))
+        readout = dense_component(ops, SpinAxis.in_plane(beta))
         dphi = cfg.delta_phi_probe
         plus, minus = rotate(ref, axis, dphi), rotate(ref, axis, -dphi)
         want = (plus.expectation(readout) - minus.expectation(readout)).real / (2.0 * dphi)

@@ -12,7 +12,6 @@ from lmgsim import (
     HamiltonianSpec,
     SpinAxis,
     build_hamiltonian,
-    build_spin_operators,
     css,
     evolve_unitary,
     fotoc,
@@ -20,9 +19,8 @@ from lmgsim import (
     otoc_from_fotoc,
     otoc_trace_form,
     rotation_matrix,
-    spin_component,
 )
-from helpers import dephased_oat_density, random_pure_state
+from helpers import dense_component, dense_spin_operators, dephased_oat_density, random_pure_state
 from lmgsim import DensityMatrix
 
 
@@ -43,7 +41,7 @@ def test_fotoc_matches_expm_oracle_pure():
     p = CollectiveSpinParams(n)
     spec = HamiltonianSpec(chi=1.0, omega=0.7 * p.spin)
     axis = SpinAxis.in_plane(math.pi / 4)
-    gen = spin_component(build_spin_operators(p), axis)
+    gen = dense_component(dense_spin_operators(p), axis)
     state = css(p, math.pi / 2, 0.0)
     samples = fotoc(spec, state, axis, t)
     h = build_hamiltonian(spec, p)
@@ -72,7 +70,7 @@ def test_fotoc_mixed_state_matches_trace_oracle():
     p = CollectiveSpinParams(n)
     spec = HamiltonianSpec(chi=1.0, omega=0.5 * p.spin)
     axis = SpinAxis.in_plane(0.6)
-    gen = spin_component(build_spin_operators(p), axis)
+    gen = dense_component(dense_spin_operators(p), axis)
     rho0 = css(p, math.pi / 2, 0.0).to_density().matrix
     rho = DensityMatrix(dephased_oat_density(rho0, n, 1.0, 0.4, 0.1))
     samples = fotoc(spec, rho, axis, t, delta_phis=(-0.02, -0.01, 0.0, 0.01, 0.02))
@@ -123,7 +121,7 @@ def test_curvature_equals_heisenberg_variance(s_chi_t):
     state = css(p, math.pi / 2, 0.0)
     t = s_chi_t / p.spin
     fit = otoc_from_fotoc(fotoc(spec, state, axis, t))
-    op_t = heisenberg_operator(spec, spin_component(build_spin_operators(p), axis), t)
+    op_t = heisenberg_operator(spec, dense_component(dense_spin_operators(p), axis), t)
     mean = state.expectation(op_t).real
     var = state.expectation(op_t @ op_t).real - mean * mean
     assert abs(fit.value - var) / var < 0.02
@@ -136,14 +134,14 @@ def test_trace_form_is_mean_squared_for_pure():
     axis = SpinAxis.in_plane(1.0)
     state = css(p, math.pi / 2, 0.0)
     got = otoc_trace_form(spec, state, axis, t)
-    op_t = heisenberg_operator(spec, spin_component(build_spin_operators(p), axis), t)
+    op_t = heisenberg_operator(spec, dense_component(dense_spin_operators(p), axis), t)
     assert abs(got - state.expectation(op_t).real ** 2) < 1e-9
 
 
 def test_heisenberg_operator_basics():
     p = CollectiveSpinParams(8)
     spec = HamiltonianSpec(chi=1.0, omega=2.0)
-    ops = build_spin_operators(p)
+    ops = dense_spin_operators(p)
     a0 = heisenberg_operator(spec, ops.sy, 0.0)
     assert np.allclose(a0, ops.sy, atol=1e-12)
     at = heisenberg_operator(spec, ops.sy, 0.37)
