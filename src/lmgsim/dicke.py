@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import tolerances
 
@@ -178,7 +177,7 @@ def css(params: CollectiveSpinParams, theta: float, phi: float = 0.0) -> PureSta
     S = params.spin
     m = params.m_values()
     k = S + m  # number of up spins, N down to 0
-    log_binom = gammaln(N + 1) - gammaln(k + 1) - gammaln(N - k + 1)
+    log_binom = np.array([math.lgamma(N + 1) - math.lgamma(j + 1) - math.lgamma(N - j + 1) for j in k])
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     logc = math.log(c) if c > 0 else -math.inf
     logs = math.log(s) if s > 0 else -math.inf

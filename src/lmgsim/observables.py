@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sph_legendre_p_all
 
 from . import tolerances
 from .dicke import (
@@ -152,7 +151,7 @@ def multipole_components(state: State) -> np.ndarray:
     are the T_kq bands up to sign. They satisfy T_k,-q = (-1)^q T_kq^dagger,
     so for the Hermitian input r[k, -q] = (-1)^q conj(r[k, q]).
     """
-    from scipy.linalg import eigh_tridiagonal  # lazy: keeps scipy.linalg out of `import lmgsim`
+    from scipy.linalg import eigh_tridiagonal  # lazy: keeps scipy out of `import lmgsim`
 
     rho = as_density(state).matrix
     d = rho.shape[0]
@@ -194,6 +193,8 @@ def _weighted_profiles(state: State, thetas: np.ndarray) -> np.ndarray:
     The Legendre table is built for a block of theta at a time, each block's
     (K+1, 2K+1, block) table within LEGENDRE_BLOCK_BYTES.
     """
+    from scipy.special import sph_legendre_p_all  # lazy, like eigh_tridiagonal above
+
     rkq = multipole_components(state)
     K = rkq.shape[0] - 1
     block = max(1, LEGENDRE_BLOCK_BYTES // (8 * (K + 1) * (2 * K + 1)))

@@ -330,9 +330,37 @@ def test_wigner_blocked_legendre_table_matches_single_block(n, monkeypatch):
     assert np.max(np.abs(points_blocks - points_one)) < 1e-12
 
 
-def test_import_leaves_scipy_linalg_and_sparse_unloaded():
-    code = "import sys, lmgsim; print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))"
+_SCIPY_SUBPACKAGES = ("scipy.linalg", "scipy.sparse", "scipy.special")
+
+
+def _scipy_subpackages_after(code, *args):
+    """Which of _SCIPY_SUBPACKAGES a fresh interpreter holds after running code."""
+    report = f"\nimport sys; print(sorted(m for m in {_SCIPY_SUBPACKAGES!r} if m in sys.modules))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code + report, *args], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_linalg_sparse_and_special_unloaded():
+    assert _scipy_subpackages_after("import lmgsim") == "[]"
+
+
+_PRESET_RUNS = """
+import sys
+from pathlib import Path
+from lmgsim import run_experiment
+out = Path(sys.argv[1])
+for fig in ("fig2b", "fig2c", "fig2d", "fig3", "fig5"):
+    run_experiment({"experiment": fig, "n_atoms": 12}, out / fig)
+run_experiment({"experiment": "fig3", "n_atoms": 6, "gamma": 0.1, "s_chi_t_grid": [0.3, 0.6]}, out / "dephased")
+"""
+
+
+def test_preset_runs_leave_scipy_linalg_sparse_and_special_unloaded(tmp_path):
+    assert _scipy_subpackages_after(_PRESET_RUNS, str(tmp_path)) == "[]"
+    assert len(list(tmp_path.rglob("*.csv"))) == 6
+    # the probe sees the lazy imports once a caller needs them
+    wigner_call = "import lmgsim; lmgsim.wigner(lmgsim.css(lmgsim.CollectiveSpinParams(4), 1.0), [0.5], [0.5])"
+    assert _scipy_subpackages_after(wigner_call) == "['scipy.linalg', 'scipy.special']"
