@@ -167,25 +167,23 @@ def as_density(state: State) -> DensityMatrix:
 def css(params: CollectiveSpinParams, theta: float, phi: float = 0.0) -> PureState:
     """Coherent spin state pointing along (theta, phi).
 
-    Amplitudes c_m = binom(N, N/2+m)^(1/2) cos^(S+m)(th/2) sin^(S-m)(th/2)
-    e^(-i(S+m)phi), evaluated in log space so large N neither under- nor
-    overflows. theta = 0 gives |m = +S>.
+    Amplitudes c_k = binom(N, k)^(1/2) cos^k(th/2) sin^(N-k)(th/2) e^(-ik phi)
+    over k = S + m up spins, built outward from the modal k by the ratio
+    c_(k+1)/c_k = sqrt((N-k)/(k+1)) cot(th/2): one rounded product per step
+    and no overflow. theta = 0 and pi give |m = +S> and |m = -S> exactly.
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     N = params.n_atoms
-    S = params.spin
-    m = params.m_values()
-    k = S + m  # number of up spins, N down to 0
-    log_binom = np.array([math.lgamma(N + 1) - math.lgamma(j + 1) - math.lgamma(N - j + 1) for j in k])
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    logc = math.log(c) if c > 0 else -math.inf
-    logs = math.log(s) if s > 0 else -math.inf
-    with np.errstate(invalid="ignore"):
-        # k * log(0) is 0 at k = 0 (pole amplitudes), -inf otherwise
-        up = np.where(k > 0, k * logc, 0.0)
-        down = np.where(N - k > 0, (N - k) * logs, 0.0)
-    amp = np.exp(0.5 * log_binom + up + down) * np.exp(-1j * k * phi)
+    ct, st = math.cos(theta), (math.sin(theta) if theta < math.pi else 0.0)
+    # cot(th/2) = num / den without cancellation on either side of pi/2: 1 at pi/2, inf at 0, 0 at pi
+    num, den = (1.0 + ct, st) if ct >= 0.0 else (st, 1.0 - ct)
+    mode = min(N, int((N + 1) * (1.0 + ct) / 2.0))  # floor((N + 1) cos^2(th/2))
+    k = np.arange(N + 1.0)
+    c = np.ones(N + 1)
+    c[mode + 1:] = np.cumprod(np.sqrt((N - k[mode:-1]) / (k[mode:-1] + 1.0)) * num / den)
+    c[:mode] = np.cumprod(np.sqrt(k[mode:0:-1] / (N + 1.0 - k[mode:0:-1])) * den / num)[::-1]
+    amp = (c * np.exp(-1j * k * phi))[::-1]
     amp /= np.linalg.norm(amp)
     return PureState(amp)
 

@@ -55,17 +55,18 @@ class HamiltonianSpec:
 
 
 def build_hamiltonian(spec: HamiltonianSpec, params: CollectiveSpinParams) -> np.ndarray:
-    """Dense H in the Dicke basis, assembled in place.
+    """Dense real float64 H in the Dicke basis, assembled in place.
 
-    Sz^2 is diagonal, so chi m^2 goes straight onto the diagonal; no Sz.Sz
-    product is formed. For LMG with Omega >= 0 the bytes equal those of
-    chi (Sz @ Sz) + Omega Sx.
+    Sx and Sy^2 are real, so every kind is. Sz^2 is diagonal, so chi m^2 goes
+    straight onto the diagonal; no Sz.Sz product is formed. For LMG with
+    Omega >= 0 the bytes equal the real part of chi (Sz @ Sz) + Omega Sx.
     """
     if spec.kind == "TAT":
         h = apply_spin(SY, spin_component(params, SY))
         h *= -spec.chi
     else:
         h = spec.omega * spin_component(params, SX)  # all zeros for OAT
+    h = np.ascontiguousarray(h.real)
     idx = np.arange(params.dim)
     h[idx, idx] += spec.chi * params.m_values() ** 2
     return h
@@ -107,21 +108,32 @@ def classify_stability(chi: float, omega: float, spin: float) -> StabilityReport
 
 
 class UnitaryPropagator:
-    """Spectral decomposition of a Hermitian generator G; evolves states by e^(-iGt)."""
+    """Hermitian generator G = D W diag(E) W^T D^*, evolving states by e^(-iGt): a float64
+    eigensolve gives the real eigenvectors W, and the unit-modulus diagonal D = diag(frame)
+    (None: the identity) is kept beside them, so W is never cast to complex."""
 
-    def __init__(self, generator: np.ndarray):
+    def __init__(self, generator: np.ndarray, frame: np.ndarray | None = None):
+        if generator.dtype != np.float64:
+            raise TypeError(f"generator must be real float64, got {generator.dtype}")
         self.eigvals, self.eigvecs = np.linalg.eigh(generator)
+        self.frame = frame
+
+    def to_eigenbasis(self, amplitudes: np.ndarray) -> np.ndarray:
+        """(D W)^dag psi; W stays real, so a complex operand is split into two real products."""
+        x = amplitudes if self.frame is None else self.frame.conj() * amplitudes
+        return self.eigvecs.T @ x.real + 1j * (self.eigvecs.T @ x.imag)
 
     def unitary(self, t: float) -> np.ndarray:
-        v = self.eigvecs
-        return (v * np.exp(-1j * self.eigvals * t)) @ v.conj().T
+        w, phase = self.eigvecs, np.exp(-1j * self.eigvals * t)
+        u = (w * phase.real) @ w.T + 1j * ((w * phase.imag) @ w.T)
+        return u if self.frame is None else u * np.outer(self.frame, self.frame.conj())
 
     def evolve(self, state: State, t: float) -> State:
-        v = self.eigvecs
-        phase = np.exp(-1j * self.eigvals * t)
         if isinstance(state, PureState):
-            return PureState(v @ (phase * (v.conj().T @ state.amplitudes)))
-        u = (v * phase) @ v.conj().T
+            y = np.exp(-1j * self.eigvals * t) * self.to_eigenbasis(state.amplitudes)
+            psi = self.eigvecs @ y.real + 1j * (self.eigvecs @ y.imag)
+            return PureState(psi if self.frame is None else self.frame * psi)
+        u = self.unitary(t)
         return DensityMatrix(u @ state.matrix @ u.conj().T)
 
 
@@ -130,11 +142,15 @@ def propagator_for(generator: HamiltonianSpec | SpinAxis, params: CollectiveSpin
     """Eigendecomposition of H for a HamiltonianSpec, or of n.S for a SpinAxis,
     cached on (generator, params).
 
-    A rotation by an angle is evolution under n.S for t = angle. A unitary
-    backward leg needs no entry of its own: U(-H, t) = U(H, -t).
+    n.S = e^(-i phi Sz) (sin theta Sx + cos theta Sz) e^(i phi Sz), so an axis
+    diagonalises the real middle factor with frame e^(-i phi m). A rotation by
+    an angle is evolution under n.S for t = angle. A unitary backward leg needs
+    no entry of its own: U(-H, t) = U(H, -t).
     """
     if isinstance(generator, SpinAxis):
-        return UnitaryPropagator(spin_component(params, generator.unit_vector))
+        theta, phi = generator.theta, generator.phi
+        plane = spin_component(params, (math.sin(theta), 0.0, math.cos(theta))).real
+        return UnitaryPropagator(plane, np.exp(-1j * phi * params.m_values()) if phi else None)
     return UnitaryPropagator(build_hamiltonian(generator, params))
 
 

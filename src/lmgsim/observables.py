@@ -79,13 +79,15 @@ def antisqueezing(state: State) -> Antisqueezing:
     S_a = Sy cos a + Sz sin a spans the plane orthogonal to the +x mean-spin
     direction; the maximum is the top eigenvalue of the 2x2 (Sy, Sz)
     covariance and alpha_max the angle of its eigenvector. alpha_max is 0
-    where the two eigenvalues coincide, as for a coherent state.
+    where the two eigenvalues coincide to 1e-12 relative, as for a coherent
+    state, so that rounding noise does not pick the axis.
     """
     params = state.params
     _, _, vy, vz, cov = yz_moments(state)
     half_diff = 0.5 * (vy - vz)
-    top = 0.5 * (vy + vz) + math.hypot(half_diff, cov)
-    alpha_max = 0.5 * math.atan2(cov, half_diff) % math.pi
+    spread = math.hypot(half_diff, cov)
+    top = 0.5 * (vy + vz) + spread
+    alpha_max = 0.5 * math.atan2(cov, half_diff) % math.pi if spread > 1e-12 * top else 0.0
     if alpha_max == math.pi:  # a negative angle within rounding of 0; the axis has period pi
         alpha_max = 0.0
     return Antisqueezing(xi_plus_sq=top / (params.spin / 2.0), alpha_max=alpha_max)

@@ -47,7 +47,7 @@ def fotoc(
     rot = propagator_for(axis, state.params)
     if isinstance(state, PureState):
         w = rot.eigvals
-        weights = np.abs(rot.eigvecs.conj().T @ prop.evolve(state, t).amplitudes) ** 2
+        weights = np.abs(rot.to_eigenbasis(prop.evolve(state, t).amplitudes)) ** 2
         return [
             FotocSample(delta_phi=float(dphi), fidelity=float(np.abs(weights @ np.exp(-1j * w * dphi)) ** 2))
             for dphi in delta_phis

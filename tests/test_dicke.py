@@ -111,10 +111,11 @@ def test_spin_component_directions():
 @pytest.mark.parametrize("n", [2, 9, 200])
 def test_css_poles(n):
     p = CollectiveSpinParams(n)
-    up = css(p, 0.0, 0.3)
-    down = css(p, math.pi, 0.0)
-    assert abs(abs(up.amplitudes[0]) - 1.0) < 1e-12
-    assert abs(abs(down.amplitudes[-1]) - 1.0) < 1e-12
+    up = css(p, 0.0, 0.3).amplitudes
+    down = css(p, math.pi, 0.0).amplitudes
+    # exact poles: one nonzero amplitude each, carrying the e^(-ik phi) phase, k = N up spins
+    assert np.count_nonzero(up) == 1 and abs(up[0] - np.exp(-0.3j * n)) < 1e-15
+    assert np.count_nonzero(down) == 1 and down[-1] == 1.0
 
 
 @pytest.mark.parametrize("n", [3, 24, 200])
@@ -134,15 +135,35 @@ def test_css_points_along_axis(n, theta, phi):
 
 @pytest.mark.parametrize("n", [30, 200, 2000])
 def test_css_amplitudes_are_binomial(n):
-    # exact integers, one correctly rounded division each: no lgamma shared with css
+    # exact integers, one correctly rounded division each: no formula shared with css
     probs = np.abs(css(CollectiveSpinParams(n), math.pi / 2, 0.0).amplitudes) ** 2
     expected = np.array([math.comb(n, k) / 2**n for k in range(n, -1, -1)])  # k up spins per slot
-    # css sums log-factorials, so log|c_k|^2 carries a few ulps of log N!:
-    # relative 2e-13 at N = 200 and 3e-12 at N = 2000
-    tol = 4 * np.finfo(float).eps * math.lgamma(n + 1)
+    # the ratio recurrence rounds once per step outward from the mode: relative
+    # 4e-16, 3e-15 and 1.2e-14 at N = 30, 200, 2000 (a log-space lgamma sum gives 1.5e-14 to 3e-12)
     kept = expected > 1e-300
     assert kept.sum() > n // 2
-    assert np.max(np.abs(probs[kept] / expected[kept] - 1.0)) < tol
+    assert np.max(np.abs(probs[kept] / expected[kept] - 1.0)) < 1e-13
+
+
+def _log_space_css(n: int, theta: float, phi: float) -> np.ndarray:
+    """The log-binomial CSS formula, |c_k| = exp(lgamma sums + k log cos + (N - k) log sin), 0 < theta < pi."""
+    k = np.arange(n, -1, -1)  # up spins per slot
+    log_binom = np.array([math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) for j in k])
+    log_amp = 0.5 * log_binom + k * math.log(math.cos(theta / 2)) + (n - k) * math.log(math.sin(theta / 2))
+    amp = np.exp(log_amp) * np.exp(-1j * k * phi)
+    return amp / np.linalg.norm(amp)
+
+
+@pytest.mark.parametrize("n", [30, 200, 2000])
+@pytest.mark.parametrize("theta,phi", [(0.3, 0.0), (1.1, 2.0), (2.4, -0.6), (3.0, 1.3)])
+def test_css_matches_log_space_formula(n, theta, phi):
+    # at any theta the recurrence agrees with the log-space formula within that formula's own
+    # error, a few ulps of log N! on log|c_k|^2
+    ours = css(CollectiveSpinParams(n), theta, phi).amplitudes
+    ref = _log_space_css(n, theta, phi)
+    kept = np.abs(ref) ** 2 > 1e-300
+    assert kept.sum() > min(n // 4, 30)
+    assert np.max(np.abs(ours[kept] / ref[kept] - 1.0)) < 4 * np.finfo(float).eps * math.lgamma(n + 1)
 
 
 def test_css_rejects_bad_theta():

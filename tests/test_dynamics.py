@@ -19,11 +19,20 @@ from lmgsim import (
     default_lindblad_dt,
     evolve_lindblad,
     evolve_unitary,
+    fotoc,
     propagator_for,
+    rotate,
     rotation_matrix,
 )
 from lmgsim import dynamics
-from helpers import brute_force_evolve, dense_spin_operators, dephased_oat_density, random_pure_state
+from helpers import (
+    brute_force_evolve,
+    dense_component,
+    dense_spin_operators,
+    dephased_oat_density,
+    random_density,
+    random_pure_state,
+)
 
 
 def test_hamiltonian_kinds():
@@ -42,7 +51,8 @@ def test_hamiltonian_kinds():
 
 @pytest.mark.parametrize("n", [1, 6, 200])
 def test_lmg_hamiltonian_bytes_match_dense_product(n):
-    # the in-place assembly must reproduce chi (Sz @ Sz) + Omega Sx bit for bit
+    # the in-place real assembly must reproduce chi (Sz @ Sz) + Omega Sx bit for bit:
+    # the dense complex product is real, and its real part is H
     p = CollectiveSpinParams(n)
     ops = dense_spin_operators(p)
     # negated couplings (the reversed spec) must give the bytes of sign * H
@@ -50,7 +60,9 @@ def test_lmg_hamiltonian_bytes_match_dense_product(n):
         omega = ratio * chi * p.spin
         spec = HamiltonianSpec(chi=sign * chi, omega=sign * omega)
         dense = sign * (chi * (ops.sz @ ops.sz) + omega * ops.sx)
-        assert build_hamiltonian(spec, p).tobytes() == dense.tobytes(), (chi, ratio, sign)
+        assert np.all(dense.imag == 0.0), (chi, ratio, sign)
+        want = np.ascontiguousarray(dense.real).tobytes()
+        assert build_hamiltonian(spec, p).tobytes() == want, (chi, ratio, sign)
 
 
 def test_time_sign_flips_hamiltonian():
@@ -166,6 +178,51 @@ def test_propagator_cache_holds_hamiltonians_and_axes_side_by_side():
         propagator_for(SpinAxis(theta=0.05 * k), p)
     assert propagator_for.cache_info().currsize == 32
     assert propagator_for.cache_info().maxsize == 32
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [HamiltonianSpec(chi=0.7, kind="OAT"), HamiltonianSpec(chi=0.7, omega=1.1), HamiltonianSpec(chi=0.7, kind="TAT")],
+)
+def test_hamiltonians_and_eigenvectors_are_real(spec):
+    # every generator is real symmetric up to a diagonal phase: float64 H, float64 eigenvectors
+    p = CollectiveSpinParams(40)
+    for s in (spec, spec.reversed()):
+        assert build_hamiltonian(s, p).dtype == np.float64, s
+        prop = propagator_for(s, p)
+        assert prop.eigvecs.dtype == np.float64 and prop.frame is None, s
+    for axis in (AXIS_Z, SpinAxis(theta=0.7), SpinAxis(theta=0.7, phi=-1.3), SpinAxis.in_plane(0.4)):
+        assert propagator_for(axis, p).eigvecs.dtype == np.float64, axis
+    with pytest.raises(TypeError):
+        dynamics.UnitaryPropagator(np.eye(p.dim, dtype=complex))
+
+
+@pytest.mark.parametrize("n", [6, 40, 200])
+@pytest.mark.parametrize("theta", [0.0, 0.7, math.pi / 2, math.pi])
+def test_axis_propagators_match_expm(n, theta):
+    # n.S = e^(-i phi Sz) (sin theta Sx + cos theta Sz) e^(i phi Sz): the real eigensolve and
+    # the frame e^(-i phi m) must reproduce expm of the dense complex n.S
+    p = CollectiveSpinParams(n)
+    ops = dense_spin_operators(p)
+    rng = np.random.default_rng(n)
+    psi, rho = random_pure_state(n, rng), random_density(n, rng)
+    spec = HamiltonianSpec(chi=1.0, omega=0.7 * p.spin)
+    t, angle, dphis = 0.4 / p.spin, 0.37, (-0.01, 0.0, 0.02)
+    psi_t = expm(-1j * t * build_hamiltonian(spec, p)) @ psi.amplitudes
+    for phi in (0.0, 0.4, math.pi / 2, -1.3):
+        axis = SpinAxis(theta=theta, phi=phi)
+        gen = dense_component(ops, axis)
+        want = expm(-1j * angle * gen)
+        prop = propagator_for(axis, p)
+        assert (prop.frame is None) == (phi == 0.0)
+        assert np.max(np.abs(prop.eigvals - np.sort(p.m_values()))) < 1e-12, phi
+        assert np.max(np.abs(rotation_matrix(p, axis, angle) - want)) < 1e-12, phi
+        assert np.max(np.abs(rotate(psi, axis, angle).amplitudes - want @ psi.amplitudes)) < 1e-12, phi
+        rotated = rotate(rho, axis, angle).matrix
+        assert np.max(np.abs(rotated - want @ rho.matrix @ want.conj().T)) < 1e-12, phi
+        for sample in fotoc(spec, psi, axis, t, dphis):
+            echo = abs(psi_t.conj() @ expm(-1j * sample.delta_phi * gen) @ psi_t) ** 2
+            assert abs(sample.fidelity - echo) < 1e-12, (phi, sample.delta_phi)
 
 
 def test_forward_backward_echo():

@@ -111,6 +111,17 @@ def test_antisqueezing_axis_folds_into_half_open_range(monkeypatch):
     assert a.xi_plus_sq == 2.0  # top eigenvalue 2 over S/2 = 1
 
 
+def test_antisqueezing_axis_of_a_coherent_state_ignores_rounding(monkeypatch):
+    # the transverse variances of a CSS agree only to rounding; the sign of that
+    # noise must not turn the reported axis from 0 to pi/2
+    for n in (200, 800):
+        p = CollectiveSpinParams(n)
+        state = evolve_unitary(HamiltonianSpec(chi=1.0, omega=p.spin), css(p, math.pi / 2, 0.0), 0.0)
+        assert antisqueezing(state).alpha_max == 0.0, n
+    monkeypatch.setattr(observables, "yz_moments", lambda state: (0.0, 0.0, 1.0, 1.0 + 1e-14, 0.0))
+    assert antisqueezing(css(CollectiveSpinParams(4), math.pi / 2, 0.0)).alpha_max == 0.0
+
+
 def test_binder_two_point_distribution():
     # equal-weight superposition of m = +S and m = -S measured along z:
     # mu4 / mu2^2 = 1, so B = 2/3
